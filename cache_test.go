@@ -263,7 +263,7 @@ func TestSuiteCacheDiskWarmProcess(t *testing.T) {
 // TestFaultSuiteWarmIdentical runs the real degradation suite cold and
 // warm through one cache and demands bit-identical reports — the
 // end-to-end form of the warm-run contract, over experiments that
-// exercise the memoized deriver and the sharded DES.
+// derive degraded machines and run the sharded DES.
 func TestFaultSuiteWarmIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick degradation suite")
@@ -286,41 +286,5 @@ func TestFaultSuiteWarmIdentical(t *testing.T) {
 		if !reflect.DeepEqual(cold[i].Checks, warm[i].Checks) {
 			t.Errorf("%s: warm checks differ from cold", cold[i].ID)
 		}
-	}
-}
-
-// TestDeriverSharedAcrossRuns: under -stats the report cache is
-// bypassed but derivation memoization stays on — the second observed
-// run derives nothing new.
-func TestDeriverSharedAcrossRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick degradation suite")
-	}
-	reg := NewStatsRegistry("t")
-	cache, err := NewSuiteCache(CacheOptions{}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewE870()
-	opts := RunOptions{Quick: true, Workers: 1, Cache: cache, Stats: reg}
-	RunSuite(FaultExperiments(), m, opts)
-	counters := func(name string) uint64 {
-		for _, c := range reg.Child("memo").Child("derive").Snapshot().Counters {
-			if c.Name == name {
-				return c.Value
-			}
-		}
-		return 0
-	}
-	missesAfterCold := counters("misses")
-	if missesAfterCold == 0 {
-		t.Fatal("degradation suite derived nothing through the deriver")
-	}
-	RunSuite(FaultExperiments(), m, opts)
-	if got := counters("misses"); got != missesAfterCold {
-		t.Errorf("second observed run re-derived machines: misses %d -> %d", missesAfterCold, got)
-	}
-	if counters("hits") == 0 {
-		t.Error("second observed run recorded no derive hits")
 	}
 }

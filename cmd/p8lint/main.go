@@ -2,8 +2,9 @@
 // analyzers that turn the codebase's prose contracts — obs nil-safety,
 // hot-path allocation discipline, simulator determinism, the frozen
 // Machine, kernel-runtime usage, and the service layer's concurrency
-// rules — into machine-checked rules, including the interprocedural
-// passes that chase those contracts through the call graph. See
+// rules — into machine-checked rules. The determinism, frozenmachine
+// and hotpath analyzers each check their contract at depth 0 and
+// through the whole-program call graph. See
 // DESIGN.md "Static analysis" for the rules and the //p8:allow
 // suppression protocol.
 //
@@ -13,7 +14,9 @@
 //
 // Packages default to ./... resolved against the enclosing module.
 // Findings print as file:line:col: analyzer: message; any finding
-// makes the exit status 1, and a load or type error makes it 2.
+// makes the exit status 1, and a load or type error makes it 2. A
+// //p8:allow that names no analyzer of the suite is itself a finding
+// (analyzer "p8lint"): it would suppress nothing.
 //
 // -json replaces the text output with a machine-readable report: one
 // JSON array of records {file, line, col, analyzer, message,
@@ -32,8 +35,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -112,11 +117,48 @@ func LintDetailed(dir string, patterns []string) (*analysis.Result, string, erro
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := analysis.RunDetailed(loader.Fset, pkgs, analyzers.All())
+	suite := analyzers.All()
+	res, err := analysis.RunDetailed(loader.Fset, pkgs, suite)
 	if err != nil {
 		return nil, "", err
 	}
+	if unknown := unknownAllows(res.Allows, suite); len(unknown) > 0 {
+		res.Findings = append(res.Findings, unknown...)
+		sort.SliceStable(res.Findings, func(i, j int) bool {
+			a, b := res.Findings[i].Pos, res.Findings[j].Pos
+			if a.Filename != b.Filename {
+				return a.Filename < b.Filename
+			}
+			return a.Line < b.Line
+		})
+	}
 	return res, loader.ModuleDir, nil
+}
+
+// unknownAllows reports every //p8:allow directive that names no
+// analyzer of the suite. Such a directive suppresses nothing — a
+// waiver left behind by a renamed or removed pass — yet would still
+// count against the budget, so it is a finding of its own.
+func unknownAllows(allows []analysis.Allow, suite []*analysis.Analyzer) []analysis.Diagnostic {
+	known := map[string]bool{}
+	names := make([]string, 0, len(suite))
+	for _, a := range suite {
+		known[a.Name] = true
+		names = append(names, a.Name)
+	}
+	var out []analysis.Diagnostic
+	for _, a := range allows {
+		if known[a.Analyzer] {
+			continue
+		}
+		out = append(out, analysis.Diagnostic{
+			Pos:      token.Position{Filename: a.File, Line: a.Line},
+			Analyzer: analysis.SuppressorName,
+			Message: fmt.Sprintf("p8:allow names unknown analyzer %q, so it suppresses nothing; use one of %s",
+				a.Analyzer, strings.Join(names, ", ")),
+		})
+	}
+	return out
 }
 
 // record is one line of the -json report.

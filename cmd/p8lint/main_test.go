@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/tools/analyzers/analysis"
 )
 
 // TestRepoIsClean is the suite's meta-test: `p8lint ./...` must exit
@@ -51,5 +55,38 @@ func TestSuppressionBudget(t *testing.T) {
 	}
 	if budget-len(res.Allows) > 5 {
 		t.Errorf("budget %d is %d above the actual count %d; ratchet it down in %s", budget, budget-len(res.Allows), len(res.Allows), budgetPath)
+	}
+}
+
+// TestUnknownAllowName: a //p8:allow naming no analyzer of the suite
+// (here a pass that was folded into determinism) suppresses nothing,
+// so p8lint must report it instead of counting it silently.
+func TestUnknownAllowName(t *testing.T) {
+	const stale = "determdeep"
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module allowcheck\n\ngo 1.22\n",
+		"a.go": "package allowcheck\n\n" +
+			"//p8:allow " + stale + ": stale waiver\nvar A = 1\n\n" +
+			"//p8:allow determinism: known waiver\nvar B = 2\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, _, err := LintDetailed(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("p8lint failed to run: %v", err)
+	}
+	if len(res.Allows) != 2 {
+		t.Fatalf("got %d allows, want 2 (unknown names still count against the budget)", len(res.Allows))
+	}
+	if len(res.Findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %v", len(res.Findings), res.Findings)
+	}
+	d := res.Findings[0]
+	if d.Analyzer != analysis.SuppressorName || d.Pos.Line != 3 || !strings.Contains(d.Message, `"`+stale+`"`) {
+		t.Errorf("got %v, want a %s finding on line 3 naming %s", d, analysis.SuppressorName, stale)
 	}
 }

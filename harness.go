@@ -173,7 +173,6 @@ func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, brok
 		Budget:  budget,
 		Faults:  opts.Faults,
 		Shards:  opts.Shards,
-		Deriver: opts.Cache.Deriver(),
 	}, h)
 	if opts.Stats != nil {
 		hs := scope.Child("harness")

@@ -22,26 +22,13 @@ import (
 // calibration constants the analytic model uses (the unloaded random
 // latency and the saturated random bandwidth), so agreement between the
 // two engines validates the queueing structure, not just the constants.
-func (m *Machine) SimulateRandomAccess(threads, streams int, horizonNs float64) units.Bandwidth {
-	return m.SimulateRandomAccessObs(threads, streams, horizonNs, nil)
-}
-
-// SimulateRandomAccessObs is SimulateRandomAccess publishing the
-// simulation's internals into a registry scope "des": events dispatched
-// and scheduled, the event-queue high-water mark, load completions, the
-// derived bank configuration and the banks' mean utilization (in
-// permille, since counters and gauges are integers). A nil registry
-// makes it identical to SimulateRandomAccess.
-func (m *Machine) SimulateRandomAccessObs(threads, streams int, horizonNs float64, reg *obs.Registry) units.Bandwidth {
-	return m.SimulateRandomAccessRun(threads, streams, horizonNs, reg, nil)
-}
-
-// SimulateRandomAccessRun is SimulateRandomAccessObs with a watchdog
-// budget attached to the event loop: every dispatched event charges one
-// unit, and an exhausted or cancelled budget aborts the simulation with
-// an engine.Trip panic for the harness's isolation wrapper to catch. A
-// nil budget runs unwatched.
-func (m *Machine) SimulateRandomAccessRun(threads, streams int, horizonNs float64, reg *obs.Registry, budget *engine.Budget) units.Bandwidth {
+//
+// A non-nil registry receives the simulation's internals under scope
+// "des": events dispatched and scheduled, the event-queue high-water
+// mark, load completions, the derived bank configuration and the banks'
+// mean utilization (in permille, since counters and gauges are
+// integers).
+func (m *Machine) SimulateRandomAccess(threads, streams int, horizonNs float64, reg *obs.Registry) units.Bandwidth {
 	if threads <= 0 || streams <= 0 || horizonNs <= 0 {
 		panic(fmt.Sprintf("machine: invalid DES parameters %d/%d/%g", threads, streams, horizonNs))
 	}
@@ -70,7 +57,6 @@ func (m *Machine) SimulateRandomAccessRun(threads, streams int, horizonNs float6
 	chasers := perCore * m.Spec.TotalCores()
 
 	var sim engine.Sim
-	sim.SetBudget(budget)
 	// Individually addressed banks: a random access targets a specific
 	// bank, so conflicts appear at birthday-paradox rates long before
 	// the aggregate pool saturates — the effect behind the analytic

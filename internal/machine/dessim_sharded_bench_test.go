@@ -18,7 +18,7 @@ func BenchmarkDESSequential64(b *testing.B) {
 	m := e870()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.SimulateRandomAccess(1, 1, benchHorizonNs)
+		m.SimulateRandomAccess(1, 1, benchHorizonNs, nil)
 	}
 }
 
@@ -26,7 +26,7 @@ func BenchmarkDESSequential512(b *testing.B) {
 	m := e870()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.SimulateRandomAccess(8, 4, benchHorizonNs)
+		m.SimulateRandomAccess(8, 4, benchHorizonNs, nil)
 	}
 }
 

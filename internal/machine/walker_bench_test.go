@@ -67,7 +67,7 @@ func BenchmarkSimulateRandomAccess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SimulateRandomAccess(8, 4, 50000)
+		m.SimulateRandomAccess(8, 4, 50000, nil)
 	}
 }
 
@@ -100,6 +100,6 @@ func BenchmarkSimulateRandomAccessObserved(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SimulateRandomAccessObs(8, 4, 50000, reg)
+		m.SimulateRandomAccess(8, 4, 50000, reg)
 	}
 }

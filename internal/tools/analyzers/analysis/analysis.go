@@ -25,10 +25,12 @@ import (
 	"sort"
 )
 
-// An Analyzer is one named static check. Exactly one of Run and
-// RunProgram is set: Run is a per-package pass, RunProgram a
+// An Analyzer is one named static check. Either or both of Run and
+// RunProgram are set: Run is a per-package pass, RunProgram a
 // whole-program pass over every loaded package at once (the
-// interprocedural analyzers, which need the call graph).
+// interprocedural rules, which need the call graph). An analyzer that
+// sets both checks one contract at depth 0 and through the call graph
+// under one name, so one //p8:allow covers both.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and in //p8:allow
 	// comments. Lower-case, no spaces.
@@ -41,7 +43,7 @@ type Analyzer struct {
 	// (reserved for internal failures, not findings).
 	Run func(*Pass) error
 	// RunProgram executes the check once over the whole load set; set
-	// instead of Run for interprocedural analyzers.
+	// it instead of Run, or alongside it, for interprocedural rules.
 	RunProgram func(*ProgramPass) error
 }
 

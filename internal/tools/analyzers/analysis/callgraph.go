@@ -8,7 +8,8 @@ import (
 )
 
 // This file builds the typed call graph behind the interprocedural
-// analyzers (hotpathdeep, determdeep, frozendeep, servicecheck). The
+// analyzers (the RunProgram closures of hotpath, determinism and
+// frozenmachine, and servicecheck). The
 // construction rules, in order of decreasing precision:
 //
 //   - Direct calls and concrete method calls resolve to their one
@@ -20,7 +21,7 @@ import (
 //   - A call through a function value (a func-typed variable, field,
 //     parameter or map/slice element) cannot be bounded statically; the
 //     site is recorded as Dynamic and each analyzer decides what that
-//     means for its contract (hotpathdeep, for instance, reports it).
+//     means for its contract (hotpath, for instance, reports it).
 //   - A func literal is not a node of its own: its body is attributed
 //     to the enclosing declaration, which over-approximates (the
 //     literal may never run) but never misses behavior the encloser

@@ -3,7 +3,8 @@
 // every run, and EXPERIMENTS.md is committed generated output, so two
 // runs of the same binary must render byte-identical reports.
 //
-// Three rule groups, keyed by package name:
+// At depth 0 (Run, one function body at a time) three rule groups
+// apply, keyed by package name:
 //
 //  1. In the simulation packages (machine, engine, experiments, fault,
 //     canon, memo): no wall-clock reads (time.Now, time.Since, ...) and
@@ -38,8 +39,32 @@
 //     merge (engine.ShardedSim); single-case selects, with or without a
 //     default, stay legal as plain non-blocking operations.
 //
+// The call-graph closure (RunProgram) chases rules 1 and 2 through
+// helpers, so a simulation package that calls an innocent-looking
+// helper which reads time.Now three frames down is flagged at the call:
+//
+//   - Scope: calls made from the simulation packages into module
+//     functions outside both that set and obs.
+//   - A helper is tainted when its static call closure — traversed
+//     through module functions outside the simulation packages and
+//     obs, with interface dispatch expanded conservatively — reaches a
+//     wall-clock read, any use of math/rand, or a map range whose body
+//     leaks iteration order (classified by rule 2).
+//   - The diagnostic anchors at the call site inside the simulation
+//     package and prints the chain down to the offense.
+//
+// Callees inside the simulation packages are not traversed (depth 0
+// reports their taint at its source); callees in obs are not traversed
+// either — obs carries its own ordered-output contract, and its
+// wall-clock surface (Timers) is harness provenance by design, never
+// simulated state. Calls through function values are not traversed
+// (statically unbounded); depth 0 still covers the bodies of whatever
+// they invoke, wherever those are declared.
+//
 // Deviations are suppressed per line with
-// `//p8:allow determinism: <why>`.
+// `//p8:allow determinism: <why>` — at the offending line, or at the
+// call site for a chain finding. A leaf waived that way is honored by
+// the closure too, so one justified deviation is not reported twice.
 package determinism
 
 import (
@@ -47,17 +72,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/tools/analyzers/analysis"
 )
 
-// simPackages need rule 1 (and rule 2).
+// simPackages need rules 1 and 3 (and rule 2).
 var simPackages = map[string]bool{
 	"machine": true, "engine": true, "experiments": true, "fault": true,
 	"canon": true, "memo": true,
 }
 
-// orderedPackages need rule 2: simPackages plus the exporters.
+// orderedPackages need rule 2: simPackages plus the exporters. The
+// closure does not traverse them.
 var orderedPackages = map[string]bool{
 	"machine": true, "engine": true, "experiments": true, "fault": true,
 	"canon": true, "memo": true, "obs": true,
@@ -72,9 +99,10 @@ var wallClock = map[string]bool{
 
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "simulation and reporting packages must not read wall clocks, use math/rand, or let map iteration order reach output",
-	Run:  run,
+	Name:       "determinism",
+	Doc:        "simulation and reporting packages must not read wall clocks, use math/rand, or let map iteration order reach output, directly or through helper calls (diagnostics carry the call chain)",
+	Run:        run,
+	RunProgram: runProgram,
 }
 
 func run(pass *analysis.Pass) error {
@@ -92,7 +120,9 @@ func run(pass *analysis.Pass) error {
 				}
 			case *ast.RangeStmt:
 				if ordered && pass.IsMap(n.X) {
-					checkMapRange(pass, f, n)
+					for _, leak := range rangeLeaks(pass.TypesInfo, f, n) {
+						pass.Reportf(leak.pos, "%s", leak.msg)
+					}
 				}
 			case *ast.SelectStmt:
 				if sim {
@@ -105,19 +135,32 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkIdent flags wall-clock and math/rand references.
-func checkIdent(pass *analysis.Pass, id *ast.Ident) {
-	obj := pass.TypesInfo.Uses[id]
+// source names the nondeterminism source obj belongs to: "time.Now"
+// (and so on) for the wall-clock surface of package time, "math/rand"
+// for anything in math/rand, "" for everything else.
+func source(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
-		return
+		return ""
 	}
 	switch obj.Pkg().Path() {
 	case "time":
 		if _, ok := obj.(*types.Func); ok && wallClock[obj.Name()] {
-			pass.Reportf(id.Pos(), "time.%s in a deterministic package; use simulated time (wall time belongs in the harness)", id.Name)
+			return "time." + obj.Name()
 		}
 	case "math/rand", "math/rand/v2":
+		return "math/rand"
+	}
+	return ""
+}
+
+// checkIdent flags wall-clock and math/rand references.
+func checkIdent(pass *analysis.Pass, id *ast.Ident) {
+	switch src := source(pass.TypesInfo.Uses[id]); src {
+	case "":
+	case "math/rand":
 		pass.Reportf(id.Pos(), "math/rand in a deterministic package; use the seeded repro/internal/rng")
+	default:
+		pass.Reportf(id.Pos(), "%s in a deterministic package; use simulated time (wall time belongs in the harness)", src)
 	}
 }
 
@@ -140,43 +183,148 @@ func checkSelect(pass *analysis.Pass, s *ast.SelectStmt) {
 	}
 }
 
-// A RangeLeak is one statement of a map-range body that can observe
-// iteration order. The intraprocedural pass reports each directly;
-// determdeep uses the same classification to decide whether a helper
-// outside the deterministic packages taints its callers.
-type RangeLeak struct {
-	Pos token.Pos
-	Msg string
+// A taint describes why a helper is nondeterministic: the offense, its
+// position, and the chain of module functions from the helper down to
+// it.
+type taint struct {
+	desc  string
+	pos   token.Pos
+	chain []*analysis.FuncNode
 }
 
-// RangeLeaks classifies every statement of one map-range body and
+// checker memoizes taint per node while walking the graph; a node
+// present with a nil taint is clean (or still in progress).
+type checker struct {
+	pass *analysis.ProgramPass
+	memo map[*analysis.FuncNode]*taint
+}
+
+func runProgram(pass *analysis.ProgramPass) error {
+	c := &checker{pass: pass, memo: map[*analysis.FuncNode]*taint{}}
+	for _, node := range pass.Prog.Graph().Sorted {
+		if !simPackages[node.Pkg.Types.Name()] {
+			continue
+		}
+		for _, site := range node.Calls {
+			c.checkSite(node, site)
+		}
+	}
+	return nil
+}
+
+// checkSite flags a call from a simulation package to a tainted
+// out-of-scope helper.
+func (c *checker) checkSite(from *analysis.FuncNode, site *analysis.CallSite) {
+	for _, callee := range site.Callees {
+		if orderedPackages[callee.Pkg.Types.Name()] {
+			continue // checked at depth 0, at the source
+		}
+		t := c.taintOf(callee)
+		if t == nil {
+			continue
+		}
+		p := c.pass.Prog.Fset.Position(t.pos)
+		names := []string{from.String()}
+		for _, n := range t.chain {
+			names = append(names, n.String())
+		}
+		c.pass.Reportf(site.Pos(),
+			"nondeterminism reaches %s through this call: %s %s at %s:%d (call chain %s)",
+			from.Pkg.Types.Name(), t.chain[len(t.chain)-1].String(), t.desc, p.Filename, p.Line,
+			strings.Join(names, " → "))
+		return // one finding per call site
+	}
+}
+
+// taintOf computes (and memoizes) whether a helper's closure reaches a
+// nondeterminism source. Cycles resolve to clean unless a source is
+// found elsewhere on the walk.
+func (c *checker) taintOf(node *analysis.FuncNode) *taint {
+	if t, done := c.memo[node]; done {
+		return t
+	}
+	c.memo[node] = nil // pre-mark: cycles read clean while in progress
+	if t := c.direct(node); t != nil {
+		c.memo[node] = t
+		return t
+	}
+	for _, site := range node.Calls {
+		for _, callee := range site.Callees {
+			if orderedPackages[callee.Pkg.Types.Name()] {
+				continue
+			}
+			if sub := c.taintOf(callee); sub != nil {
+				t := &taint{desc: sub.desc, pos: sub.pos,
+					chain: append([]*analysis.FuncNode{node}, sub.chain...)}
+				c.memo[node] = t
+				return t
+			}
+		}
+	}
+	return nil
+}
+
+// direct finds the first nondeterminism source written in the node's
+// own body: a wall-clock read, any math/rand reference, or an
+// order-leaking map range. Leaves waived with //p8:allow determinism
+// are skipped.
+func (c *checker) direct(node *analysis.FuncNode) *taint {
+	info := node.Pkg.Info
+	var found *taint
+	record := func(pos token.Pos, desc string) {
+		if found == nil && !c.pass.Prog.Allowed(c.pass.Analyzer.Name, pos) {
+			found = &taint{desc: desc, pos: pos, chain: []*analysis.FuncNode{node}}
+		}
+	}
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			switch src := source(info.Uses[n]); src {
+			case "":
+			case "math/rand":
+				record(n.Pos(), "uses math/rand")
+			default:
+				record(n.Pos(), "reads the wall clock ("+src+")")
+			}
+		case *ast.RangeStmt:
+			if isMapType(info, n.X) {
+				for _, leak := range rangeLeaks(info, node.File, n) {
+					record(leak.pos, "lets map iteration order escape ("+leak.msg+")")
+				}
+			}
+		}
+		return found == nil
+	})
+	return found
+}
+
+// A rangeLeak is one statement of a map-range body that can observe
+// iteration order.
+type rangeLeak struct {
+	pos token.Pos
+	msg string
+}
+
+// rangeLeaks classifies every statement of one map-range body and
 // returns the ones that can observe iteration order.
-func RangeLeaks(info *types.Info, file *ast.File, rs *ast.RangeStmt) []RangeLeak {
+func rangeLeaks(info *types.Info, file *ast.File, rs *ast.RangeStmt) []rangeLeak {
 	c := &rangeChecker{info: info, file: file, rs: rs}
 	c.stmts(rs.Body.List)
 	return c.leaks
-}
-
-// checkMapRange classifies every statement of a map-range body and
-// reports the ones that can observe iteration order.
-func checkMapRange(pass *analysis.Pass, file *ast.File, rs *ast.RangeStmt) {
-	for _, leak := range RangeLeaks(pass.TypesInfo, file, rs) {
-		pass.Reportf(leak.Pos, "%s", leak.Msg)
-	}
 }
 
 type rangeChecker struct {
 	info  *types.Info
 	file  *ast.File
 	rs    *ast.RangeStmt
-	leaks []RangeLeak
+	leaks []rangeLeak
 }
 
 const fixHint = "iterate sorted keys instead"
 
 // report records one leak at pos.
 func (c *rangeChecker) report(pos token.Pos, format string, args ...interface{}) {
-	c.leaks = append(c.leaks, RangeLeak{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	c.leaks = append(c.leaks, rangeLeak{pos: pos, msg: fmt.Sprintf(format, args...)})
 }
 
 func (c *rangeChecker) stmts(list []ast.Stmt) {

@@ -2,10 +2,14 @@
 // analyzer's select rule guards the shard-merge idiom here. Cross-shard
 // event streams must merge through the canonical (time, shard, seq)
 // sorted order; draining them through a multi-way select would let the
-// runtime's randomized case choice reach simulated results.
+// runtime's randomized case choice reach simulated results. Its calls
+// into helpers are what the call-graph closure checks.
 package engine
 
-import "sort"
+import (
+	"helpers"
+	"sort"
+)
 
 type mail struct {
 	at  uint64
@@ -58,4 +62,36 @@ func allowedSelect(a, b chan struct{}) {
 	case <-a:
 	case <-b:
 	}
+}
+
+// Simulate reaches the wall clock two frames down.
+func Simulate() int64 {
+	return helpers.Chain() // want `nondeterminism reaches engine through this call: helpers\.Stamp reads the wall clock \(time\.Now\).*engine\.Simulate → helpers\.Chain → helpers\.Stamp`
+}
+
+// Jitter reaches math/rand one frame down.
+func Jitter() int {
+	return helpers.Roll() // want `helpers\.Roll uses math/rand`
+}
+
+// Arbitrary leaks map order through the helper.
+func Arbitrary(m map[string]int) int {
+	return helpers.Pick(m) // want `helpers\.Pick lets map iteration order escape`
+}
+
+// Clean calls only order-safe helpers; nothing fires.
+func Clean(m map[string]int) int {
+	_ = helpers.Sorted(m)
+	return helpers.Sum(m)
+}
+
+// Waived calls a helper whose offense line carries a determinism
+// allow; the leaf justification is honored.
+func Waived() int64 {
+	return helpers.StampWaived()
+}
+
+// SiteWaived suppresses the chain finding at the call site instead.
+func SiteWaived() int64 {
+	return helpers.Chain() //p8:allow determinism: boot-time provenance stamp, taken before any event is scheduled
 }

@@ -1,7 +1,9 @@
-// Package other is outside the determinism scope: neither rule fires.
+// Package other is outside the determinism scope: no rule fires, and
+// its calls to tainted helpers are legal.
 package other
 
 import (
+	"helpers"
 	"math/rand"
 	"time"
 )
@@ -17,3 +19,6 @@ func Free(m map[string]int) string {
 	}
 	return last
 }
+
+// FreeHelpers may call whatever helpers it likes.
+func FreeHelpers() int64 { return helpers.Chain() + int64(helpers.Roll()) }

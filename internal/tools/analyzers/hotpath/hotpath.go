@@ -5,7 +5,7 @@
 // benchmarks (BenchmarkWalker*, BenchmarkParallelForTeam,
 // BenchmarkSchedule).
 //
-// Inside an annotated function the analyzer rejects:
+// At depth 0 (Run, the annotated body itself) the analyzer rejects:
 //
 //   - any call into fmt (formatting allocates and takes interfaces),
 //   - wall-clock calls (time.Now, time.Since, ...): hot loops carry
@@ -21,12 +21,37 @@
 //     a heap allocation per call; hoist the state or pass it as an
 //     argument).
 //
+// The call-graph closure (RunProgram) holds every function statically
+// reachable from an annotated root to the same discipline, and reports
+// each offense at the root's call site that starts the chain, with the
+// chain itself:
+//
+//   - calls into fmt, sync (locks block and their slow path
+//     allocates), math/rand, and the wall-clock surface of time are
+//     banned. sync/atomic is allowed in callees: the "accumulate in
+//     plain fields, flush at the end" idiom flushes into atomic obs
+//     counters and the cross-shard event Budget, and those helpers are
+//     atomic by design;
+//   - ranging over a map and closures that capture enclosing
+//     variables are banned;
+//   - a call through a function value anywhere in the closure
+//     (including the annotated root) is reported at the call site: the
+//     callee is statically unbounded, so the closure guarantee cannot
+//     be proven past it — keep hot dispatch direct or justify the site.
+//
+// Interface dispatch is expanded conservatively to every satisfying
+// method in the load set (see the analysis package's call-graph
+// rules), so a violation behind an interface still surfaces.
+//
 // Deviations are suppressed per line with
-// `//p8:allow hotpath: <why>`.
+// `//p8:allow hotpath: <why>` — at the offending line, or at the root's
+// call site for a chain finding. A leaf waived that way is honored by
+// the closure too, so one justified deviation is not reported twice.
 package hotpath
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -46,9 +71,10 @@ var wallClock = map[string]bool{
 
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "hotpath",
-	Doc:  "functions marked //p8:hotpath may not call fmt or wall clocks, use sync/atomic or math/rand, range over maps, or capture closures",
-	Run:  run,
+	Name:       "hotpath",
+	Doc:        "functions marked //p8:hotpath, and their full static call closure, may not call fmt or wall clocks, use math/rand, range over maps, or capture closures (sync/atomic is banned in the body, sync in callees); diagnostics carry the call chain",
+	Run:        run,
+	RunProgram: runProgram,
 }
 
 func run(pass *analysis.Pass) error {
@@ -88,7 +114,7 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 				pass.Reportf(n.Pos(), "hot path ranges over a map (iteration order is randomized); use a slice or fixed array")
 			}
 		case *ast.FuncLit:
-			if name, ok := captures(pass, fd, n); ok {
+			if name, ok := captures(pass.TypesInfo, fd, n); ok {
 				pass.Reportf(n.Pos(), "hot-path closure captures %q and may escape to the heap; hoist the state or pass it as an argument", name)
 			}
 		}
@@ -123,7 +149,7 @@ func checkIdent(pass *analysis.Pass, id *ast.Ident) {
 
 // captures reports whether the closure references a variable declared
 // in the enclosing function but outside the closure itself.
-func captures(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FuncLit) (string, bool) {
+func captures(info *types.Info, fd *ast.FuncDecl, fl *ast.FuncLit) (string, bool) {
 	var name string
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		if name != "" {
@@ -133,7 +159,7 @@ func captures(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FuncLit) (string, b
 		if !ok {
 			return true
 		}
-		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		v, ok := info.Uses[id].(*types.Var)
 		if !ok || v.IsField() {
 			return true
 		}
@@ -144,4 +170,137 @@ func captures(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FuncLit) (string, b
 		return true
 	})
 	return name, name != ""
+}
+
+// bannedExtern classifies a call leaf outside the load set under the
+// closure rules; it returns a short description of the offense, or "".
+func bannedExtern(path, name string) string {
+	switch path {
+	case "fmt":
+		return "calls fmt." + name + " (allocates)"
+	case "time":
+		if wallClock[name] {
+			return "reads the wall clock (time." + name + ")"
+		}
+	case "sync":
+		return "uses sync." + name + " (blocking; the slow path allocates)"
+	case "math/rand", "math/rand/v2":
+		return "uses math/rand." + name
+	}
+	return ""
+}
+
+// A step is one BFS discovery: the node plus the edge that found it.
+type step struct {
+	node   *analysis.FuncNode
+	parent *step
+	site   *analysis.CallSite // edge from parent.node into node
+}
+
+// chain renders root → ... → leaf for diagnostics.
+func (s *step) chain() string {
+	var names []string
+	for at := s; at != nil; at = at.parent {
+		names = append(names, at.node.String())
+	}
+	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
+		names[i], names[j] = names[j], names[i]
+	}
+	return strings.Join(names, " → ")
+}
+
+// anchor returns the depth-1 call site: the call inside the annotated
+// root that starts this chain. s must not be the root.
+func (s *step) anchor() *analysis.CallSite {
+	at := s
+	for at.parent.parent != nil {
+		at = at.parent
+	}
+	return at.site
+}
+
+func runProgram(pass *analysis.ProgramPass) error {
+	g := pass.Prog.Graph()
+	dynReported := map[token.Pos]bool{}
+	for _, root := range g.Sorted {
+		if annotated(root.Decl) {
+			checkClosure(pass, root, dynReported)
+		}
+	}
+	return nil
+}
+
+// checkClosure walks the closure of one annotated root breadth-first
+// and reports offenses with their chains.
+func checkClosure(pass *analysis.ProgramPass, root *analysis.FuncNode, dynReported map[token.Pos]bool) {
+	visited := map[*analysis.FuncNode]bool{root: true}
+	queue := []*step{{node: root}}
+	// One finding per (anchor site, offending function): the first
+	// offense is representative; a fixed helper clears its siblings.
+	reported := map[[2]token.Pos]bool{}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		if at.parent != nil { // the root's own body is depth 0's
+			reportOffenses(pass, at, reported)
+		}
+		for _, site := range at.node.Calls {
+			if site.Dynamic {
+				if !dynReported[site.Pos()] && !pass.Prog.Allowed(pass.Analyzer.Name, site.Pos()) {
+					dynReported[site.Pos()] = true
+					pass.Reportf(site.Pos(),
+						"hot closure of %s calls through a function value; the callee is statically unbounded, so the hot-path guarantee stops here — dispatch directly or justify the site",
+						root.String())
+				}
+				continue
+			}
+			for _, callee := range site.Callees {
+				if !visited[callee] {
+					visited[callee] = true
+					queue = append(queue, &step{node: callee, parent: at, site: site})
+				}
+			}
+		}
+	}
+}
+
+// reportOffenses scans one closure member for hot-path violations and
+// reports each at the chain's anchor call inside the annotated root.
+func reportOffenses(pass *analysis.ProgramPass, at *step, reported map[[2]token.Pos]bool) {
+	anchor := at.anchor()
+	report := func(pos token.Pos, what string) {
+		if pass.Prog.Allowed(pass.Analyzer.Name, pos) {
+			return
+		}
+		key := [2]token.Pos{anchor.Pos(), at.node.Decl.Pos()}
+		if reported[key] {
+			return
+		}
+		reported[key] = true
+		p := pass.Prog.Fset.Position(pos)
+		pass.Reportf(anchor.Pos(), "hot call chain %s: %s %s at %s:%d",
+			at.chain(), at.node.String(), what, p.Filename, p.Line)
+	}
+
+	for _, site := range at.node.Calls {
+		if what := bannedExtern(site.ExternPath, site.ExternName); what != "" {
+			report(site.Pos(), what)
+		}
+	}
+	info := at.node.Pkg.Info
+	ast.Inspect(at.node.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if t := info.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					report(n.Pos(), "ranges over a map (iteration order is randomized)")
+				}
+			}
+		case *ast.FuncLit:
+			if name, ok := captures(info, at.node.Decl, n); ok {
+				report(n.Pos(), "builds a closure capturing \""+name+"\" (may escape to the heap)")
+			}
+		}
+		return true
+	})
 }

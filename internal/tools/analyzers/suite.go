@@ -1,32 +1,28 @@
 // Package analyzers collects the p8lint analyzer suite: the
 // machine-checked contracts the simulator's correctness and
-// reproducibility arguments rest on. The intraprocedural passes check
-// each function against its package's rules; the deep passes
-// (hotpathdeep, determdeep, frozendeep) chase the same contracts
-// through the whole-program call graph; the servicecheck family guards
-// the long-running service layer. cmd/p8lint runs the suite from the
+// reproducibility arguments rest on. Each contract is one analyzer:
+// determinism, frozenmachine and hotpath check every function against
+// its package's rules at depth 0 and chase the same rules through the
+// whole-program call graph; the servicecheck family guards the
+// long-running service layer. cmd/p8lint runs the suite from the
 // command line and CI; the per-analyzer packages carry the rules and
 // their golden tests.
 package analyzers
 
 import (
 	"repro/internal/tools/analyzers/analysis"
-	"repro/internal/tools/analyzers/determdeep"
 	"repro/internal/tools/analyzers/determinism"
-	"repro/internal/tools/analyzers/frozendeep"
 	"repro/internal/tools/analyzers/frozenmachine"
 	"repro/internal/tools/analyzers/fsyncsafe"
 	"repro/internal/tools/analyzers/hotpath"
-	"repro/internal/tools/analyzers/hotpathdeep"
 	"repro/internal/tools/analyzers/isolation"
 	"repro/internal/tools/analyzers/nilsafe"
 	"repro/internal/tools/analyzers/servicecheck"
 	"repro/internal/tools/analyzers/teamuse"
 )
 
-// All returns the full p8lint suite in stable order: the
-// intraprocedural passes first, then the interprocedural deep passes,
-// then the service-layer family.
+// All returns the full p8lint suite in stable order: the contract
+// passes first, then the service-layer family.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
@@ -36,9 +32,6 @@ func All() []*analysis.Analyzer {
 		isolation.Analyzer,
 		nilsafe.Analyzer,
 		teamuse.Analyzer,
-		determdeep.Analyzer,
-		frozendeep.Analyzer,
-		hotpathdeep.Analyzer,
 		servicecheck.HTTPStatus,
 		servicecheck.MutexHeld,
 		servicecheck.GoLeak,
