@@ -5,11 +5,14 @@
 // load-miss queues (Figure 4) and link contention — while pure dependent-
 // load latency walks (Figure 2) do not need it.
 //
-// The event queue is a typed 4-ary min-heap rather than container/heap:
-// events are stored unboxed in one contiguous slice (no interface{}
-// conversion, no allocation per push beyond amortized slice growth), and
-// the wider fan-out halves the tree depth, which matters because the
-// sift-down path dominates a DES pop-heavy workload.
+// The event queue is a delay-class calendar (calendar.go): the models
+// schedule every event at now + d for a handful of distinct delays d, so
+// the queue keeps one sorted FIFO per delay class, picks the next event
+// with a winner tree over the class heads, and spills the rare
+// one-off delays into a typed 4-ary min-heap. Events are stored unboxed
+// in flat slices, so a push allocates nothing beyond amortized growth.
+// A ShardedSim (shard.go) runs all the lanes of one shard on one shared
+// calendar; each queued event carries the lane it executes on.
 package engine
 
 import "fmt"
@@ -29,9 +32,12 @@ type scheduled struct {
 	// release in a closure saves one heap allocation per service — the
 	// dominant allocation of a queueing-heavy simulation.
 	release *Resource
+	// lane is the Sim the event runs on: the one it was scheduled on, or
+	// the receiving lane of a cross-lane message.
+	lane *Sim
 }
 
-// before orders the heap: earliest time first, schedule order on ties.
+// before orders the queue: earliest time first, schedule order on ties.
 func (a scheduled) before(b scheduled) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -40,7 +46,8 @@ func (a scheduled) before(b scheduled) bool {
 }
 
 // eventQueue is a 4-ary min-heap of scheduled events in a flat slice:
-// the children of node i are nodes 4i+1 .. 4i+4.
+// the children of node i are nodes 4i+1 .. 4i+4. The calendar spills
+// the events of delays without a class into it.
 type eventQueue []scheduled
 
 // push inserts one event, sifting it up to heap position.
@@ -107,9 +114,15 @@ func (q *eventQueue) pop() scheduled {
 // This is the flush-at-the-end idiom documented in internal/obs: the
 // event dispatch loop itself carries no instrumentation overhead.
 type Sim struct {
-	now      Time
-	seq      uint64
-	queue    eventQueue
+	now Time
+	seq uint64
+	// q is the calendar this Sim's events are queued in: its own,
+	// created on first use, or the shared calendar of the ShardedSim
+	// shard the Sim is a lane of.
+	q *calendar
+	// pending counts this Sim's events in q, whose high-water mark is
+	// maxQueue.
+	pending  int
 	events   uint64
 	maxQueue int
 	// budget, when non-nil, is charged one unit per executed event and
@@ -137,30 +150,47 @@ func (s *Sim) Scheduled() uint64 { return s.seq }
 func (s *Sim) MaxQueueDepth() int { return s.maxQueue }
 
 // At schedules ev at absolute time t, which must not be in the past.
-func (s *Sim) At(t Time, ev Event) {
+// It is meant for initial conditions and one-off times: the event has
+// no delay class and waits in the calendar's spill heap.
+func (s *Sim) At(t Time, ev Event) { s.at(t, absolute, ev) }
+
+// After schedules ev delay nanoseconds from now; negative delays panic.
+func (s *Sim) After(delay Time, ev Event) { s.at(s.now+delay, delay, ev) }
+
+// at schedules ev at t = now + delay; the delay picks its calendar class.
+func (s *Sim) at(t, delay Time, ev Event) {
 	if t < s.now {
 		panic(fmt.Sprintf("engine: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.queue.push(scheduled{at: t, seq: s.seq, call: ev})
-	if n := len(s.queue); n > s.maxQueue {
-		s.maxQueue = n
+	s.enqueue(scheduled{at: t, seq: s.seq, call: ev}, delay, 0)
+}
+
+// enqueue queues ev to run on s in the calendar class of (delay, src)
+// and books it against the Sim's queue-depth high-water mark. src is 0
+// for the Sim's own events (see calendar for mail).
+//
+//p8:hotpath
+func (s *Sim) enqueue(ev scheduled, delay Time, src int) {
+	if s.q == nil {
+		s.q = newCalendar()
+	}
+	ev.lane = s
+	s.q.push(ev, delay, src)
+	s.pending++
+	if s.pending > s.maxQueue {
+		s.maxQueue = s.pending
 	}
 }
 
-// After schedules ev delay nanoseconds from now; negative delays panic.
-func (s *Sim) After(delay Time, ev Event) { s.At(s.now+delay, ev) }
-
 // Step executes the next event. It reports false when the queue is empty.
+// A budget trip refuses the event: it stays queued and uncounted.
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	if s.q == nil || s.q.n == 0 {
 		return false
 	}
-	next := s.queue.pop()
-	s.now = next.at
-	s.events++
 	s.budget.Charge(1)
-	s.dispatch(next)
+	s.q.exec()
 	return true
 }
 
@@ -179,26 +209,18 @@ func (s *Sim) dispatch(ev scheduled) {
 
 // Run executes events until the queue drains or until simulated time
 // exceeds horizon (0 means no horizon). It returns the number of events
-// executed by this call. The pop is inlined here rather than routed
-// through Step so the head of the queue is examined once per event, not
-// twice. Event-loop throughput and its allocation budget are pinned by
-// BenchmarkSchedule and BenchmarkSimPointerChase in
+// executed by this call; a budget trip leaves the refused event queued,
+// so Events() plus the pending events always equals Scheduled().
+// Event-loop throughput and its allocation budget are pinned by
+// BenchmarkSchedule* and BenchmarkSimPointerChase in
 // engine_bench_test.go.
 //
 //p8:hotpath
 func (s *Sim) Run(horizon Time) uint64 {
-	start := s.events
-	for len(s.queue) > 0 {
-		if horizon > 0 && s.queue[0].at > horizon {
-			break
-		}
-		next := s.queue.pop()
-		s.now = next.at
-		s.events++
-		s.budget.Charge(1)
-		s.dispatch(next)
+	if s.q == nil {
+		return 0
 	}
-	return s.events - start
+	return s.q.run(horizon, s.budget)
 }
 
 // Resource is a service station with a fixed number of servers and an
@@ -274,10 +296,7 @@ func (r *Resource) start(s *Sim, hold Time, done Event) {
 	r.busy++
 	r.BusyTime += float64(hold)
 	s.seq++
-	s.queue.push(scheduled{at: s.now + hold, seq: s.seq, call: done, release: r})
-	if n := len(s.queue); n > s.maxQueue {
-		s.maxQueue = n
-	}
+	s.enqueue(scheduled{at: s.now + hold, seq: s.seq, call: done, release: r}, hold, 0)
 }
 
 // release frees one server and starts the oldest waiting request, if any.

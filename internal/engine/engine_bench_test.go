@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkSchedule measures raw push+pop throughput of the event queue
-// under a randomized arrival pattern (the DES hot path). The event loop
-// it pins (eventQueue.push/pop, Sim.Run/dispatch, the Resource service
+// under a randomized arrival pattern: 4096 events at absolute times,
+// all of which go through the calendar's spill heap. The event loop it
+// pins (the calendar's push/pop, Sim.Run/dispatch, the Resource service
 // protocol) carries //p8:hotpath directives, so p8lint holds its
 // zero-allocation budget statically.
 func BenchmarkSchedule(b *testing.B) {
@@ -20,18 +21,53 @@ func BenchmarkSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var q eventQueue
-		for _, t := range times {
-			q.push(scheduled{at: t})
+		q := newCalendar()
+		for j, t := range times {
+			q.push(scheduled{at: t, seq: uint64(j)}, absolute, 0)
 		}
-		for len(q) > 0 {
+		for q.n > 0 {
 			q.pop()
 		}
 	}
 }
 
-// BenchmarkScheduleContainerHeap is the pre-optimization baseline: the
-// same workload through container/heap with interface{} boxing.
+// desDelays are the delays the socket-resolved Figure 4 model
+// schedules with on the E870 and the 16-socket SMP: bank service,
+// transit and the fabric's hop latencies (ns).
+var desDelays = []Time{50, 80, 28, 30, 38, 118, 140, 142, 148}
+
+// BenchmarkScheduleDelayClasses is the calendar's designed case: a
+// steady 4096-event population in which every pop schedules its
+// successor at now + d for one of the DES's fixed delays.
+func BenchmarkScheduleDelayClasses(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	picks := make([]Time, 4*4096)
+	for i := range picks {
+		picks[i] = desDelays[r.Intn(len(desDelays))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := newCalendar()
+		seq := uint64(0)
+		for j := 0; j < 4096; j++ {
+			seq++
+			q.push(scheduled{at: Time(j) / 64, seq: seq}, absolute, 0)
+		}
+		for _, d := range picks {
+			ev := q.pop()
+			seq++
+			q.push(scheduled{at: ev.at + d, seq: seq}, d, 0)
+		}
+		for q.n > 0 {
+			q.pop()
+		}
+	}
+}
+
+// BenchmarkScheduleContainerHeap is the original baseline: the
+// BenchmarkSchedule workload through container/heap with interface{}
+// boxing.
 func BenchmarkScheduleContainerHeap(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	times := make([]Time, 4096)

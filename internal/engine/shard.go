@@ -1,19 +1,21 @@
 package engine
 
 // This file is the sharded discrete-event driver: the same simulation,
-// split over per-lane event queues (one lane per chip/socket) that a
-// persistent parallel.Team executes in conservative-lookahead rounds.
+// split into lanes (one per chip/socket) grouped into shards. Each
+// shard's lanes share one delay-class calendar, and a persistent
+// parallel.Team executes the shards in conservative-lookahead rounds.
 //
 // The contract is bit-identity with the sequential engine. It rests on
 // three invariants:
 //
 //   - Canonical merge order. Every event carries a (time, lane,
-//     sequence) key: the lane ID lives in the top bits of the lane's
-//     sequence counter (laneShift), so the existing scheduled.before
+//     sequence) key: the scheduling lane's ID lives in the top bits of
+//     its sequence counter (laneShift), so the existing scheduled.before
 //     comparison — time first, sequence second — already realizes the
 //     canonical (timestamp, shard ID, sequence number) order without a
 //     third field. Within one lane, sequence numbers grow in schedule
-//     order exactly as in the sequential engine.
+//     order exactly as in the sequential engine. A shard's calendar pops
+//     its lanes' events in exactly this order.
 //
 //   - Lane confinement. An event executes on the lane it was scheduled
 //     on and touches only that lane's state. Cross-lane effects travel
@@ -31,9 +33,11 @@ package engine
 //     execution front.
 //
 // Mailboxes are single-producer single-consumer by construction: box
-// [w][dst] is appended to only by worker w (the one running the sending
+// [w][dw] is appended to only by worker w (the one running the sending
 // lane) and drained only by the coordinator between rounds, so the hot
-// path takes no locks. The Team's dispatch/wait pair provides the
+// path takes no locks. A box holds worker w's mail for all of worker
+// dw's lanes in send order, so the mail of one delay arrives at dw's
+// calendar already sorted. The Team's dispatch/wait pair provides the
 // happens-before edges for the round state and the tallies.
 
 import (
@@ -45,7 +49,7 @@ import (
 
 // laneShift positions the lane ID in the top bits of a lane's sequence
 // counter, realizing the canonical (time, lane, sequence) merge order
-// through the existing (at, seq) heap comparison. 2^56 events per lane
+// through the existing (at, seq) queue comparison. 2^56 events per lane
 // is beyond any budgeted run.
 const laneShift = 56
 
@@ -53,15 +57,18 @@ const laneShift = 56
 const maxLanes = 1 << (64 - laneShift)
 
 // mail is one cross-lane message: an event stamped with the sender's
-// delivery time and sequence key.
+// delivery time and sequence key, the delay it was sent with (its
+// calendar class at the receiver) and the receiving lane.
 type mail struct {
-	at   Time
-	seq  uint64
-	call Event
+	at    Time
+	seq   uint64
+	call  Event
+	delay Time
+	to    *Sim
 }
 
-// mailbox is one SPSC lane-to-lane message buffer. The backing array is
-// reused across rounds.
+// mailbox is one SPSC worker-to-worker message buffer. The backing
+// array is reused across rounds.
 type mailbox []mail
 
 // shardTally is one shard's per-round report, written by its worker
@@ -78,9 +85,11 @@ type shardTally struct {
 // system runs under one of two drivers:
 //
 //   - RunMerged: one goroutine popping the globally minimal event
-//     across all lanes — the sequential reference.
-//   - RunSharded: lanes grouped into contiguous shards, one worker per
-//     shard, synchronized at conservative-lookahead barriers.
+//     across all lanes — the sequential reference, and the one-shard
+//     case: every lane lives on one calendar.
+//   - RunSharded: lanes grouped into contiguous shards, one calendar
+//     and one worker per shard, synchronized at conservative-lookahead
+//     barriers.
 //
 // Both drivers produce bit-identical simulations; RunSharded at any
 // worker count that divides the lane count matches RunMerged exactly.
@@ -88,16 +97,20 @@ type ShardedSim struct {
 	lanes    []*Sim
 	minDelay Time // the conservative lookahead (cross-shard latency floor)
 	budget   *Budget
+	// home is the calendar every lane is attached to outside RunSharded
+	// (and so during RunMerged); cals are the per-shard calendars the
+	// lanes are attached to during RunSharded.
+	home *calendar
+	cals []*calendar
 
 	// Round state: written by the coordinator between barriers, read by
 	// the shard workers during a round. workerOf is nil outside
 	// RunSharded, which routes every Send straight into the target lane.
 	workerOf     []int
-	perWorker    int
 	roundCut     Time
 	roundHorizon Time
 	roundCap     uint64
-	boxes        [][]mailbox // [sending worker][destination lane]
+	boxes        [][]mailbox // [sending worker][receiving worker]
 	tallies      []shardTally
 
 	// Accumulated barrier statistics (coordinator-only writes).
@@ -122,11 +135,11 @@ func NewShardedSim(lanes int, lookahead Time) *ShardedSim {
 	if lookahead < 0 {
 		panic(fmt.Sprintf("engine: negative lookahead %v", lookahead))
 	}
-	ss := &ShardedSim{lanes: make([]*Sim, lanes), minDelay: lookahead}
+	ss := &ShardedSim{lanes: make([]*Sim, lanes), minDelay: lookahead, home: newCalendar()}
 	for i := range ss.lanes {
 		// Seeding the lane's sequence counter with its ID in the top bits
 		// makes (at, seq) the canonical (time, lane, sequence) order.
-		ss.lanes[i] = &Sim{seq: uint64(i) << laneShift}
+		ss.lanes[i] = &Sim{seq: uint64(i) << laneShift, q: ss.home}
 	}
 	return ss
 }
@@ -164,17 +177,17 @@ func (ss *ShardedSim) LaneNow(lane int) Time { return ss.lanes[lane].now }
 // lane reach their own *Sim through the callback argument.
 func (ss *ShardedSim) At(lane int, t Time, ev Event) { ss.lanes[lane].At(t, ev) }
 
-// inject pushes an already-stamped message into the lane's queue,
+// inject queues an already-stamped message on the receiving lane,
 // bypassing the At past-check: the drivers guarantee delivery never
 // precedes the receiving lane's clock (see the lookahead invariant in
-// the file comment).
+// the file comment). src is 0 for a message delivered straight into
+// the lane's calendar and 1+w for one drained from worker w's
+// mailboxes; with the delay it keys the calendar class, so each
+// class receives one monotone stream.
 //
 //p8:hotpath
-func (s *Sim) inject(m mail) {
-	s.queue.push(scheduled{at: m.at, seq: m.seq, call: m.call})
-	if n := len(s.queue); n > s.maxQueue {
-		s.maxQueue = n
-	}
+func (s *Sim) inject(m mail, src int) {
+	s.enqueue(scheduled{at: m.at, seq: m.seq, call: m.call}, m.delay, src)
 }
 
 // Send schedules ev on lane `to`, delay nanoseconds after lane
@@ -190,44 +203,25 @@ func (ss *ShardedSim) Send(from, to int, delay Time, ev Event) {
 	}
 	src := ss.lanes[from]
 	src.seq++
-	m := mail{at: src.now + delay, seq: src.seq, call: ev}
+	m := mail{at: src.now + delay, seq: src.seq, call: ev, delay: delay, to: ss.lanes[to]}
 	if ss.workerOf == nil {
-		ss.lanes[to].inject(m)
+		m.to.inject(m, 0)
 		return
 	}
 	sw, dw := ss.workerOf[from], ss.workerOf[to]
 	if sw == dw {
-		// Same worker owns both lanes: direct injection is race-free and
-		// the round's rescan picks the event up if it lands in-window.
-		ss.lanes[to].inject(m)
+		// Same worker owns both lanes: they share a calendar, so direct
+		// injection is race-free and the shard loop picks the event up
+		// if it lands in-window.
+		m.to.inject(m, 0)
 		return
 	}
 	if delay < ss.minDelay {
 		panic("engine: cross-shard send below the lookahead bound")
 	}
 	ss.shardSent[sw]++
-	box := &ss.boxes[sw][to]
+	box := &ss.boxes[sw][dw]
 	*box = append(*box, m)
-}
-
-// minLane returns the lane in [lo, hi) holding the globally minimal
-// (time, lane, sequence) head, or -1 when all are empty. A linear scan:
-// lane counts are single digits (chips per system), so scanning beats
-// maintaining a second heap.
-//
-//p8:hotpath
-func (ss *ShardedSim) minLane(lo, hi int) int {
-	best := -1
-	for i := lo; i < hi; i++ {
-		q := ss.lanes[i].queue
-		if len(q) == 0 {
-			continue
-		}
-		if best < 0 || q[0].before(ss.lanes[best].queue[0]) {
-			best = i
-		}
-	}
-	return best
 }
 
 // RunMerged executes the whole simulation on the calling goroutine by
@@ -235,37 +229,19 @@ func (ss *ShardedSim) minLane(lo, hi int) int {
 // the sequential reference the sharded driver is bit-compared against.
 // Run semantics match Sim.Run: events at exactly `horizon` execute,
 // 0 means no horizon; the return value is the number of events
-// executed by this call.
+// executed by this call, and a budget trip leaves the refused event
+// queued.
 //
 //p8:hotpath
-func (ss *ShardedSim) RunMerged(horizon Time) uint64 {
-	var n uint64
-	for {
-		best := ss.minLane(0, len(ss.lanes))
-		if best < 0 {
-			break
-		}
-		l := ss.lanes[best]
-		if horizon > 0 && l.queue[0].at > horizon {
-			break
-		}
-		next := l.queue.pop()
-		l.now = next.at
-		l.events++
-		ss.budget.Charge(1)
-		l.dispatch(next)
-		n++
-	}
-	return n
-}
+func (ss *ShardedSim) RunMerged(horizon Time) uint64 { return ss.home.run(horizon, ss.budget) }
 
 // RunSharded executes the simulation on `workers` long-lived Team
 // goroutines, each owning a contiguous group of lanes, in
 // conservative-lookahead rounds:
 //
-//  1. The coordinator drains every mailbox into its destination lane.
+//  1. The coordinator drains every mailbox into its receiving lanes.
 //  2. The round horizon is cut = minNextEventTime + lookahead.
-//  3. Each worker merge-executes its own lanes' events with time < cut
+//  3. Each worker executes its shard calendar's events with time < cut
 //     (and <= horizon) in canonical order.
 //  4. At the barrier the coordinator books the round's events against
 //     the budget and loops.
@@ -281,26 +257,30 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 	if workers > 1 && ss.minDelay <= 0 {
 		panic("engine: sharded run needs a positive lookahead")
 	}
-	ss.perWorker = len(ss.lanes) / workers
+	perWorker := len(ss.lanes) / workers
 	ss.workerOf = make([]int, len(ss.lanes))
 	for i := range ss.workerOf {
-		ss.workerOf[i] = i / ss.perWorker
+		ss.workerOf[i] = i / perWorker
 	}
 	ss.boxes = make([][]mailbox, workers)
 	for w := range ss.boxes {
-		ss.boxes[w] = make([]mailbox, len(ss.lanes))
+		ss.boxes[w] = make([]mailbox, workers)
 	}
 	ss.tallies = make([]shardTally, workers)
 	ss.shardEvents = make([]uint64, workers)
 	ss.shardStalls = make([]uint64, workers)
 	ss.shardSent = make([]uint64, workers)
-	defer func() {
-		// Outside a sharded run Send routes directly again, and the
-		// mailboxes (all drained here: ChargeBatch is the only panic
-		// source and it fires before new sends) can be collected.
-		ss.workerOf = nil
-		ss.boxes = nil
-	}()
+	ss.cals = make([]*calendar, workers)
+	for w := range ss.cals {
+		ss.cals[w] = newCalendar()
+	}
+	for i, l := range ss.lanes {
+		l.q = ss.cals[ss.workerOf[i]]
+	}
+	rehome(ss.home)
+	// Detach on every exit, a budget trip's panic included, so the
+	// simulation stays consistent and resumable.
+	defer ss.detach()
 
 	team := parallel.NewTeam(workers)
 	defer team.Close()
@@ -341,31 +321,58 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 	return total
 }
 
-// minNext returns the minimal head time across all lanes; ok is false
-// when every queue is empty.
-func (ss *ShardedSim) minNext() (Time, bool) {
-	best := ss.minLane(0, len(ss.lanes))
-	if best < 0 {
-		return 0, false
+// detach ends a sharded run: it delivers the mail of an interrupted
+// round, moves every pending event back onto the home calendar and
+// routes Send directly again.
+func (ss *ShardedSim) detach() {
+	ss.mailboxMsgs += ss.drainMailboxes()
+	for _, l := range ss.lanes {
+		l.q = ss.home
 	}
-	return ss.lanes[best].queue[0].at, true
+	for _, c := range ss.cals {
+		rehome(c)
+	}
+	ss.cals, ss.workerOf, ss.boxes = nil, nil, nil
+}
+
+// rehome moves every event of c onto the calendar its lane is
+// attached to now. The events stay pending, so the lanes' depth counts
+// do not change; their delays are unknown, so they spill.
+func rehome(c *calendar) {
+	for c.n > 0 {
+		ev := c.pop()
+		ev.lane.q.push(ev, absolute, 0)
+	}
+}
+
+// minNext returns the minimal head time across all shards; ok is false
+// when every calendar is empty.
+func (ss *ShardedSim) minNext() (Time, bool) {
+	var best Time
+	ok := false
+	for _, c := range ss.cals {
+		if c.n > 0 && (!ok || c.headTime() < best) {
+			best, ok = c.headTime(), true
+		}
+	}
+	return best, ok
 }
 
 // drainMailboxes moves every pending cross-shard message into its
-// destination lane's queue. Coordinator-only, between rounds.
+// receiving lane's calendar. Coordinator-only, between rounds.
 func (ss *ShardedSim) drainMailboxes() uint64 {
 	var moved uint64
 	for w := range ss.boxes {
-		for dst, box := range ss.boxes[w] {
+		for dw, box := range ss.boxes[w] {
 			if len(box) == 0 {
 				continue
 			}
 			for i, m := range box {
-				ss.lanes[dst].inject(m)
-				box[i] = mail{} // release the Event closure
+				m.to.inject(m, 1+w)
+				box[i] = mail{} // release the Event closure and lane
 			}
 			moved += uint64(len(box))
-			ss.boxes[w][dst] = box[:0]
+			ss.boxes[w][dw] = box[:0]
 		}
 	}
 	return moved
@@ -381,7 +388,7 @@ func (ss *ShardedSim) runShardBody(_, lo, hi int) {
 	}
 }
 
-// runShard merge-executes one shard's lanes in canonical order up to
+// runShard executes one shard's calendar in canonical order up to
 // the round cut. It never panics: budget exhaustion is bounded by the
 // round cap and cancellation by an amortized poll, both of which stop
 // the loop early and leave the trip to the coordinator's barrier —
@@ -389,18 +396,12 @@ func (ss *ShardedSim) runShardBody(_, lo, hi int) {
 //
 //p8:hotpath
 func (ss *ShardedSim) runShard(shard int) {
-	lo := shard * ss.perWorker
-	hi := lo + ss.perWorker
+	q := ss.cals[shard]
 	cut, horizon, limit := ss.roundCut, ss.roundHorizon, ss.roundCap
 	budget := ss.budget
 	var n uint64
-	for {
-		best := ss.minLane(lo, hi)
-		if best < 0 {
-			break
-		}
-		l := ss.lanes[best]
-		at := l.queue[0].at
+	for q.n > 0 {
+		at := q.headTime()
 		// Strictly below the cut: an event at exactly cut may have to
 		// merge after a message delivered at the next barrier with the
 		// same timestamp but a smaller (lane, sequence) key.
@@ -413,11 +414,8 @@ func (ss *ShardedSim) runShard(shard int) {
 		if n&cancelCheckMask == cancelCheckMask && budget.Cancelled() {
 			break // cancelled; the barrier charge trips
 		}
-		next := l.queue.pop()
-		l.now = next.at
-		l.events++
+		q.exec()
 		n++
-		l.dispatch(next)
 	}
 	ss.tallies[shard].events = n
 }

@@ -216,7 +216,6 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	// White-box: pretend a 2-worker round is in flight so lane 0 -> 1
 	// crosses shards.
 	ss.workerOf = []int{0, 1}
-	ss.perWorker = 1
 	ss.boxes = [][]mailbox{make([]mailbox, 2), make([]mailbox, 2)}
 	ss.shardSent = make([]uint64, 2)
 	defer func() {
@@ -299,5 +298,91 @@ func TestMergedScheduledCountsExcludeLaneBase(t *testing.T) {
 		if c.Name == "scheduled" && c.Value >= 1<<laneShift {
 			t.Fatalf("scheduled counter %d leaks the lane base", c.Value)
 		}
+	}
+}
+
+// pendingEvents sums the events queued on the lanes, checking that the
+// lanes' own counts agree with the home calendar they are attached to.
+func pendingEvents(t *testing.T, ss *ShardedSim) uint64 {
+	t.Helper()
+	var pending int
+	for i, l := range ss.lanes {
+		if l.q != ss.home {
+			t.Fatalf("lane %d still attached to a run-local calendar", i)
+		}
+		pending += l.pending
+	}
+	if pending != ss.home.n {
+		t.Fatalf("lanes count %d pending events, home calendar holds %d", pending, ss.home.n)
+	}
+	return uint64(pending)
+}
+
+// TestTripLeavesSimConsistent: a budget trip or a cancellation that
+// panics out of either driver leaves every lane detached from the
+// run's calendars, every scheduled event either executed or still
+// queued (in-flight mail included), and the simulation resumable — a
+// resumed run finishes bit-identical to an uninterrupted one.
+func TestTripLeavesSimConsistent(t *testing.T) {
+	ref := newShardModel(4, 500)
+	want := ref.signature(ref.ss.RunMerged(0))
+
+	drivers := []struct {
+		name string
+		run  func(*ShardedSim)
+	}{
+		{"merged", func(ss *ShardedSim) { ss.RunMerged(0) }},
+		{"sharded/1", func(ss *ShardedSim) { ss.RunSharded(1, 0) }},
+		{"sharded/2", func(ss *ShardedSim) { ss.RunSharded(2, 0) }},
+		{"sharded/4", func(ss *ShardedSim) { ss.RunSharded(4, 0) }},
+	}
+	for _, d := range drivers {
+		for _, cancel := range []bool{false, true} {
+			m := newShardModel(4, 500)
+			b := NewBudget(want.total / 3)
+			if cancel {
+				b = NewBudget(0)
+				b.Cancel()
+			}
+			m.ss.SetBudget(b)
+			tripError(t, func() { d.run(m.ss) })
+
+			var scheduled uint64
+			for i, l := range m.ss.lanes {
+				scheduled += l.seq - uint64(i)<<laneShift
+			}
+			executed := m.ss.Events()
+			if executed == 0 || executed >= want.total {
+				t.Fatalf("%s cancel=%v: tripped after %d of %d events", d.name, cancel, executed, want.total)
+			}
+			if pending := pendingEvents(t, m.ss); executed+pending != scheduled {
+				t.Errorf("%s cancel=%v: %d executed + %d pending != %d scheduled",
+					d.name, cancel, executed, pending, scheduled)
+			}
+
+			m.ss.SetBudget(nil)
+			resumed := m.ss.RunMerged(0)
+			got := m.signature(executed + resumed)
+			if !sameSignature(got, want) {
+				t.Errorf("%s cancel=%v: resumed run diverged: got %+v want %+v", d.name, cancel, got, want)
+			}
+		}
+	}
+}
+
+// TestQueueDepthIsPerLane: lanes share a calendar, but each lane's
+// queue-depth high-water mark counts only its own events.
+func TestQueueDepthIsPerLane(t *testing.T) {
+	ss := NewShardedSim(2, testLookahead)
+	for i := 0; i < 3; i++ {
+		ss.At(0, Time(i), nil)
+	}
+	ss.At(1, 1, nil)
+	ss.RunMerged(0)
+	if got := ss.lanes[0].MaxQueueDepth(); got != 3 {
+		t.Errorf("lane 0 queue depth high-water mark %d, want 3", got)
+	}
+	if got := ss.lanes[1].MaxQueueDepth(); got != 1 {
+		t.Errorf("lane 1 queue depth high-water mark %d, want 1", got)
 	}
 }

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/arch"
 )
 
 // The BENCH_6.json workload: the full 512-thread E870 (64 cores x
@@ -33,6 +35,22 @@ func BenchmarkDESSequential512(b *testing.B) {
 func BenchmarkDESSharded512(b *testing.B) {
 	m := e870()
 	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.SimulateRandomAccessSharded(8, 4, benchHorizonNs, shards, nil, nil)
+			}
+		})
+	}
+}
+
+// BenchmarkDESShardedMaxSMP512 is the same workload on the 16-socket
+// maximum SMP, where a shard runs up to 16 lanes: the case that
+// exposes any per-event cost growing with the socket count. The name
+// matches the CI sharded-DES smoke filter.
+func BenchmarkDESShardedMaxSMP512(b *testing.B) {
+	m := New(arch.MaxPOWER8SMP())
+	for _, shards := range []int{1, 2, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -29,9 +29,21 @@ func openTestJournal(t *testing.T, mem *iofault.Mem) (*journal.Journal, journal.
 // directories), and require the recovered job to be listed as done and
 // its reports body to be byte-identical — without recomputing.
 func TestJournalRestartServesReports(t *testing.T) {
+	checkRestartServesReports(t, `{"experiments":["table3"],"quick":true}`)
+}
+
+// TestJournalRestartServesFaultSeedJob is the same round trip for a
+// seeded fault plan. The journal holds the normalized request, which
+// carries both the seed and the plan it spells out; recovery must
+// accept that pair again instead of dropping the job.
+func TestJournalRestartServesFaultSeedJob(t *testing.T) {
+	checkRestartServesReports(t, `{"experiments":["deg-lanes"],"quick":true,"faultseed":42}`)
+}
+
+func checkRestartServesReports(t *testing.T, body string) {
+	t.Helper()
 	mem := iofault.NewMem()
 	cacheDir := t.TempDir()
-	const body = `{"experiments":["table3"],"quick":true}`
 
 	// First life: run one job to completion.
 	jnl, _ := openTestJournal(t, mem)

@@ -154,6 +154,12 @@ func badf(format string, args ...any) *badRequest {
 // whole suite in canonical order. It returns the normalized request,
 // the resolved inputs, or a *badRequest whose message is safe (and
 // meant) to show the client verbatim.
+//
+// normalize is idempotent: a normalized request normalizes to itself,
+// which is what recovery relies on when it re-normalizes a journaled
+// request. A FaultSeed request comes out carrying its seed and the
+// plan the seed spells in Faults; that pair is accepted again, while a
+// Faults that differs from the seed's plan is a conflict.
 func normalize(req Request, machines map[string]*machine.Machine) (Request, *machine.Machine, []power8.Experiment, *power8.FaultPlan, error) {
 	spec, specName, ok := specByName(req.Spec)
 	if !ok {
@@ -161,8 +167,12 @@ func normalize(req Request, machines map[string]*machine.Machine) (Request, *mac
 	}
 	req.Spec = specName
 
-	if req.Faults != "" && req.FaultSeed != 0 {
-		return req, nil, nil, nil, badf("faults and faultseed are mutually exclusive; pick one plan source")
+	var seeded *power8.FaultPlan
+	if req.FaultSeed != 0 {
+		seeded = fault.Random(req.FaultSeed, spec, 4)
+		if req.Faults != "" && req.Faults != seeded.String() {
+			return req, nil, nil, nil, badf("faults and faultseed are mutually exclusive; pick one plan source")
+		}
 	}
 	faulted := req.Faults != "" || req.FaultSeed != 0
 	if req.Suite == "" {
@@ -180,10 +190,9 @@ func normalize(req Request, machines map[string]*machine.Machine) (Request, *mac
 		return req, nil, nil, nil, badf("fault plans apply to the degradation suite; drop faults/faultseed or set suite to \"degradation\"")
 	}
 
-	var plan *power8.FaultPlan
-	if req.FaultSeed != 0 {
-		plan = fault.Random(req.FaultSeed, spec, 4)
-		req.Faults = plan.String()
+	plan := seeded
+	if seeded != nil {
+		req.Faults = seeded.String()
 	} else if req.Faults != "" {
 		p, err := fault.Parse(req.Faults)
 		if err != nil {

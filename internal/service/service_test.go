@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -458,5 +459,33 @@ func TestStatsBypassesCache(t *testing.T) {
 	observed := submitAndWait(t, ts.URL, `{"experiments":["table1"],"quick":true,"stats":true}`)
 	if observed.CacheHits != 0 {
 		t.Errorf("stats job reported %d cache hits, want 0 (bypass)", observed.CacheHits)
+	}
+}
+
+// TestNormalizeIdempotent: recovery re-normalizes journaled requests,
+// so a normalized request must normalize to itself — in particular a
+// faultseed request, which comes out carrying its spelled-out plan too.
+func TestNormalizeIdempotent(t *testing.T) {
+	for _, body := range []string{
+		`{"experiments":["table3"],"quick":true}`,
+		`{"faults":"worst-day"}`,
+		`{"faultseed":42,"quick":true}`,
+		`{"spec":"max-smp","faultseed":7,"experiments":["deg-plan"]}`,
+	} {
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		once, _, _, _, err := normalize(req, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		twice, _, _, _, err := normalize(once, nil)
+		if err != nil {
+			t.Fatalf("%s: re-normalizing %+v: %v", body, once, err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Errorf("%s: normalize not idempotent:\n once  %+v\n twice %+v", body, once, twice)
+		}
 	}
 }
