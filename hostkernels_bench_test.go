@@ -97,17 +97,6 @@ func BenchmarkHostRMATGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkHostERIQuartet(b *testing.B) {
-	mol := hf.TableV()[3].Scaled(64).Build()
-	bs := mol.Basis
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += hf.ERI(bs[i%16], bs[(i+7)%16], bs[(i+3)%16], bs[(i+11)%16])
-	}
-	_ = sink
-}
-
 func BenchmarkHostFockBuild(b *testing.B) {
 	mol := hf.TableV()[3].Scaled(48).Build()
 	h := mol.CoreHamiltonian()

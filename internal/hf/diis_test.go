@@ -53,11 +53,12 @@ func TestDIISErrorVanishesAtConvergence(t *testing.T) {
 	x := linalg.SymInvSqrt(s)
 	h := mol.CoreHamiltonian()
 	pairs := BuildPairs(mol, 0)
+	prods := pairProducts(mol, pairs)
 	d := densityStep(h, x, mol.OccupiedOrbitals(), DensityEigen)
 	// Iterate to convergence manually, then check the commutator.
 	var f *linalg.Matrix
 	for i := 0; i < 60; i++ {
-		f = fockRecompute(mol, h, d, pairs, 1e-12, 0)
+		f = fockRecompute(prods, h, d, pairs, 1e-12, 0)
 		dNew := densityStep(f, x, mol.OccupiedOrbitals(), DensityEigen)
 		if linalg.MaxAbsDiff(dNew, d) < 1e-10 {
 			d = dNew

@@ -52,15 +52,46 @@ func NuclearAttraction(a, b BasisFn, atoms []Atom) float64 {
 	return v
 }
 
+// pi25 is pi^(5/2), the constant factor of every ERI prefactor.
+var pi25 = math.Pow(math.Pi, 2.5)
+
+// pairProduct is the Gaussian product of two s primitives reduced to
+// what an ERI reads from one side of (ab|cd): the two norms (kept apart
+// so the prefactor multiplies them in the same order as four separate
+// norms), the total exponent p, exp(-mu R2) and the product center.
+// Every ERI over a pair shares these, so hf.Run computes them once per
+// unique pair instead of once per quartet.
+type pairProduct struct {
+	normA, normB float64
+	p            float64
+	expMuR2      float64
+	center       Vec3
+}
+
+// newPairProduct returns the product record of primitives a and b.
+func newPairProduct(a, b BasisFn) pairProduct {
+	p, mu, r2, center := gaussProduct(a, b)
+	return pairProduct{normA: a.Norm, normB: b.Norm, p: p, expMuR2: math.Exp(-mu * r2), center: center}
+}
+
 // ERI returns the two-electron repulsion integral (ab|cd) in chemists'
 // notation over normalized s primitives.
 func ERI(a, b, c, d BasisFn) float64 {
-	p, muAB, r2AB, pCenter := gaussProduct(a, b)
-	q, muCD, r2CD, qCenter := gaussProduct(c, d)
-	pre := a.Norm * b.Norm * c.Norm * d.Norm *
-		2 * math.Pow(math.Pi, 2.5) / (p * q * math.Sqrt(p+q)) *
-		math.Exp(-muAB*r2AB) * math.Exp(-muCD*r2CD)
-	t := p * q / (p + q) * pCenter.Sub(qCenter).Norm2()
+	ab, cd := newPairProduct(a, b), newPairProduct(c, d)
+	return pairERI(&ab, &cd)
+}
+
+// pairERI returns (ab|cd) from the two pairs' product records. It is
+// the one ERI formula: ERI builds the records and calls it, so a cached
+// record gives the same bits as a fresh one.
+//
+//p8:hotpath
+func pairERI(ab, cd *pairProduct) float64 {
+	p, q := ab.p, cd.p
+	pre := ab.normA * ab.normB * cd.normA * cd.normB *
+		2 * pi25 / (p * q * math.Sqrt(p+q)) *
+		ab.expMuR2 * cd.expMuR2
+	t := p * q / (p + q) * ab.center.Sub(cd.center).Norm2()
 	return pre * BoysF0(t)
 }
 

@@ -158,17 +158,12 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 	pairs := BuildPairs(mol, cfg.Threads)
 	res.NonScreened = pairs.CountNonScreened(cfg.ScreenTol)
 	res.StoredERIBytes = units.Bytes(res.NonScreened) * 8
+	prods := pairProducts(mol, pairs)
 
 	var stored []storedQuartet
 	if cfg.Mode == HFMem {
 		t0 := time.Now()
-		stored = make([]storedQuartet, 0, res.NonScreened)
-		pairs.VisitNonScreened(cfg.ScreenTol, func(a, b int) {
-			i, j := pairs.I[a], pairs.J[a]
-			k, l := pairs.I[b], pairs.J[b]
-			v := ERI(mol.Basis[i], mol.Basis[j], mol.Basis[k], mol.Basis[l])
-			stored = append(stored, storedQuartet{i, j, k, l, v})
-		})
+		stored = storeNonScreened(pairs, prods, cfg.ScreenTol, res.NonScreened)
 		res.Timings.Precomp = time.Since(t0)
 	}
 
@@ -186,7 +181,7 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 		if cfg.Mode == HFMem {
 			f = fockFromStored(h, d, stored, cfg.Threads)
 		} else {
-			f = fockRecompute(mol, h, d, pairs, cfg.ScreenTol, cfg.Threads)
+			f = fockRecompute(prods, h, d, pairs, cfg.ScreenTol, cfg.Threads)
 		}
 		if accel != nil {
 			e := diisError(f, d, s)
@@ -295,34 +290,145 @@ func FockReference(mol *Molecule, h, d *linalg.Matrix) *linalg.Matrix {
 	return f
 }
 
+// pairProducts returns the Gaussian product record of every unique pair,
+// indexed like the pair list. It lives beside the pair list rather than
+// in it: table V builds pair lists for thousands of functions and never
+// computes an ERI from them.
+func pairProducts(mol *Molecule, pairs *PairList) []pairProduct {
+	prods := make([]pairProduct, pairs.Pairs())
+	for a := range prods {
+		prods[a] = newPairProduct(mol.Basis[pairs.I[a]], mol.Basis[pairs.J[a]])
+	}
+	return prods
+}
+
+// storeNonScreened computes the ERI of every quartet that survives
+// screening at tol — the HF-Mem precompute. count is the survivor count,
+// used as the list's capacity.
+func storeNonScreened(pairs *PairList, prods []pairProduct, tol float64, count int64) []storedQuartet {
+	stored := make([]storedQuartet, 0, count)
+	pairs.VisitNonScreened(tol, func(a, b int) {
+		v := pairERI(&prods[a], &prods[b])
+		stored = append(stored, storedQuartet{pairs.I[a], pairs.J[a], pairs.I[b], pairs.J[b], v})
+	})
+	return stored
+}
+
+// imagePerms lists the eight permutation images of a quartet (i,j,k,l)
+// as positions into (i,j,k,l), in scatter order: (ijkl), (jikl), (ijlk),
+// (jilk), (klij), (lkij), (klji), (lkji).
+var imagePerms = [8][4]uint8{
+	{0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 3, 2}, {1, 0, 3, 2},
+	{2, 3, 0, 1}, {3, 2, 0, 1}, {2, 3, 1, 0}, {3, 2, 1, 0},
+}
+
+// equalPositions lists the six position pairs of a quartet; bit b of an
+// equality key is set when the indices at equalPositions[b] are equal.
+var equalPositions = [6][2]uint8{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+
+// imageMasks maps an equality key to the images applyQuartet scatters:
+// bit m is set when image m is the first of the eight to take its value.
+// Which images coincide depends only on which indices are equal, so the
+// 64 keys cover every quartet (keys no quartet can have, such as i == j
+// == k with i != k, are filled but never read).
+var imageMasks = buildImageMasks()
+
+func buildImageMasks() [64]uint8 {
+	var masks [64]uint8
+	for key := range masks {
+		var eq [4][4]bool
+		for x := range eq {
+			eq[x][x] = true
+		}
+		for b, pos := range equalPositions {
+			if key&(1<<b) != 0 {
+				eq[pos[0]][pos[1]] = true
+				eq[pos[1]][pos[0]] = true
+			}
+		}
+		for m, pm := range imagePerms {
+			first := true
+			for _, pn := range imagePerms[:m] {
+				if eq[pm[0]][pn[0]] && eq[pm[1]][pn[1]] && eq[pm[2]][pn[2]] && eq[pm[3]][pn[3]] {
+					first = false
+					break
+				}
+			}
+			if first {
+				masks[key] |= 1 << m
+			}
+		}
+	}
+	return masks
+}
+
+// equalityKey returns the equality key of quartet (i,j,k,l), with bits
+// in equalPositions order.
+func equalityKey(i, j, k, l int32) uint8 {
+	var key uint8
+	if i == j {
+		key |= 1 << 0
+	}
+	if i == k {
+		key |= 1 << 1
+	}
+	if i == l {
+		key |= 1 << 2
+	}
+	if j == k {
+		key |= 1 << 3
+	}
+	if j == l {
+		key |= 1 << 4
+	}
+	if k == l {
+		key |= 1 << 5
+	}
+	return key
+}
+
 // applyQuartet adds one ERI value's contributions to G for every distinct
 // permutation image of the canonical quartet: for an image (a,b,c,d),
 // the Coulomb term adds 2 v D[c,d] to G[a,b] and the exchange term
-// subtracts v D[b,d] from G[a,c].
+// subtracts v D[b,d] from G[a,c]. Images are applied in imagePerms
+// order, each distinct image once.
+//
+//p8:hotpath
 func applyQuartet(g, d *linalg.Matrix, i, j, k, l int32, v float64) {
-	type img struct{ a, b, c, dd int32 }
-	images := [8]img{
-		{i, j, k, l}, {j, i, k, l}, {i, j, l, k}, {j, i, l, k},
-		{k, l, i, j}, {l, k, i, j}, {k, l, j, i}, {l, k, j, i},
+	mask := imageMasks[equalityKey(i, j, k, l)]
+	n, gd, dd := g.N, g.Data, d.Data
+	ii, jj, kk, ll := int(i), int(j), int(k), int(l)
+	if mask&(1<<0) != 0 {
+		scatterImage(gd, dd, n, ii, jj, kk, ll, v)
 	}
-	n := 0
-	var seen [8]img
-	for _, im := range images {
-		dup := false
-		for s := 0; s < n; s++ {
-			if seen[s] == im {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[n] = im
-		n++
-		g.Add(int(im.a), int(im.b), 2*v*d.At(int(im.c), int(im.dd)))
-		g.Add(int(im.a), int(im.c), -v*d.At(int(im.b), int(im.dd)))
+	if mask&(1<<1) != 0 {
+		scatterImage(gd, dd, n, jj, ii, kk, ll, v)
 	}
+	if mask&(1<<2) != 0 {
+		scatterImage(gd, dd, n, ii, jj, ll, kk, v)
+	}
+	if mask&(1<<3) != 0 {
+		scatterImage(gd, dd, n, jj, ii, ll, kk, v)
+	}
+	if mask&(1<<4) != 0 {
+		scatterImage(gd, dd, n, kk, ll, ii, jj, v)
+	}
+	if mask&(1<<5) != 0 {
+		scatterImage(gd, dd, n, ll, kk, ii, jj, v)
+	}
+	if mask&(1<<6) != 0 {
+		scatterImage(gd, dd, n, kk, ll, jj, ii, v)
+	}
+	if mask&(1<<7) != 0 {
+		scatterImage(gd, dd, n, ll, kk, jj, ii, v)
+	}
+}
+
+// scatterImage applies image (a,b,c,e) of a quartet with value v to the
+// n×n row-major G and D.
+func scatterImage(gd, dd []float64, n, a, b, c, e int, v float64) {
+	gd[a*n+b] += 2 * v * dd[c*n+e]
+	gd[a*n+c] += -v * dd[b*n+e]
 }
 
 // fockFromStored builds F = H + G(D) from the precomputed quartet list
@@ -353,19 +459,17 @@ func fockFromStored(h, d *linalg.Matrix, stored []storedQuartet, threads int) *l
 }
 
 // fockRecompute builds F = H + G(D) by walking the surviving quartets and
-// recomputing each ERI — the HF-Comp inner loop — in parallel with
-// per-worker accumulators.
-func fockRecompute(mol *Molecule, h, d *linalg.Matrix, pairs *PairList, tol float64, threads int) *linalg.Matrix {
+// recomputing each ERI from the cached pair products — the HF-Comp inner
+// loop — in parallel with per-worker accumulators.
+func fockRecompute(prods []pairProduct, h, d *linalg.Matrix, pairs *PairList, tol float64, threads int) *linalg.Matrix {
 	workers := parallel.Workers(threads)
 	parts := make([]*linalg.Matrix, workers)
 	for w := range parts {
 		parts[w] = linalg.NewMatrix(h.N)
 	}
 	pairs.VisitNonScreenedParallel(tol, workers, func(w, a, b int) {
-		i, j := pairs.I[a], pairs.J[a]
-		k, l := pairs.I[b], pairs.J[b]
-		v := ERI(mol.Basis[i], mol.Basis[j], mol.Basis[k], mol.Basis[l])
-		applyQuartet(parts[w], d, i, j, k, l, v)
+		v := pairERI(&prods[a], &prods[b])
+		applyQuartet(parts[w], d, pairs.I[a], pairs.J[a], pairs.I[b], pairs.J[b], v)
 	})
 	f := h.Clone()
 	for _, g := range parts {

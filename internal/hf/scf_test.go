@@ -80,18 +80,13 @@ func TestFockBuildersMatchReference(t *testing.T) {
 	// comparison is exact.
 	const tol = 1e-30
 	pairs := BuildPairs(mol, 2)
-	gotComp := fockRecompute(mol, h, d, pairs, tol, 3)
+	prods := pairProducts(mol, pairs)
+	gotComp := fockRecompute(prods, h, d, pairs, tol, 3)
 	if diff := linalg.MaxAbsDiff(gotComp, want); diff > 1e-9 {
 		t.Errorf("fockRecompute differs from reference by %v", diff)
 	}
 
-	var stored []storedQuartet
-	pairs.VisitNonScreened(tol, func(a, b int) {
-		i, j := pairs.I[a], pairs.J[a]
-		k, l := pairs.I[b], pairs.J[b]
-		stored = append(stored, storedQuartet{i, j, k, l,
-			ERI(mol.Basis[i], mol.Basis[j], mol.Basis[k], mol.Basis[l])})
-	})
+	stored := storeNonScreened(pairs, prods, tol, 0)
 	gotMem := fockFromStored(h, d, stored, 4)
 	if diff := linalg.MaxAbsDiff(gotMem, want); diff > 1e-9 {
 		t.Errorf("fockFromStored differs from reference by %v", diff)

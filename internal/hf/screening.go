@@ -36,8 +36,8 @@ func BuildPairs(m *Molecule, threads int) *PairList {
 		for i := lo; i < hi; i++ {
 			base := i * (i + 1) / 2
 			for j := 0; j <= i; j++ {
-				bi, bj := m.Basis[i], m.Basis[j]
-				v := ERI(bi, bj, bi, bj)
+				ab := newPairProduct(m.Basis[i], m.Basis[j])
+				v := pairERI(&ab, &ab)
 				if v < 0 {
 					v = 0
 				}

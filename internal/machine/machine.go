@@ -67,7 +67,7 @@ func (m *Machine) DemandLatencyNs(from, home arch.ChipID) float64 {
 // Table IV "w/ prefetching" column): the residual fraction of the demand
 // latency, floored at the per-line transfer-and-detect cost.
 func (m *Machine) PrefetchedLatencyNs(from, home arch.ChipID) float64 {
-	lat := m.Spec.Latency
+	lat := &m.Spec.Latency
 	v := lat.PrefetchResidue * m.DemandLatencyNs(from, home)
 	if v < lat.MinPrefetchedNs {
 		v = lat.MinPrefetchedNs

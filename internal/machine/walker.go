@@ -94,6 +94,10 @@ type Walker struct {
 	// pfbuf is the scratch buffer OnDemandInto appends prefetch addresses
 	// to, reused across accesses.
 	pfbuf []uint64
+
+	// cycleNs is the chip's clock period, read once: ChipSpec's methods
+	// take the large spec by value, which copies it on every call.
+	cycleNs float64
 }
 
 // NewWalker builds a walker against this machine.
@@ -110,6 +114,8 @@ func (m *Machine) NewWalker(cfg WalkerConfig) *Walker {
 		hier: cache.NewHierarchy(m.Spec.Chip, m.Spec.Memory.Centaur, m.Spec.Memory.CentaursPerChip),
 		xl:   tlb.New(m.Spec.Xlate, cfg.Page),
 		pf:   prefetch.New(cfg.Prefetch),
+
+		cycleNs: m.Spec.Chip.CycleNs(),
 	}
 	w.hier.DisableVictim = cfg.DisableVictimL3
 	pc := w.pf.Config()
@@ -129,7 +135,7 @@ func (w *Walker) home(addr uint64) arch.ChipID {
 // dramLatency returns the DRAM demand latency for an access, accounting
 // for SMP hops and the strided row-pipelining effect.
 func (w *Walker) dramLatency(home arch.ChipID, strided bool) float64 {
-	lat := w.m.Spec.Latency
+	lat := &w.m.Spec.Latency
 	base := lat.LocalDRAMNs
 	if strided {
 		base = lat.DRAMStridedNs
@@ -140,7 +146,7 @@ func (w *Walker) dramLatency(home arch.ChipID, strided bool) float64 {
 // levelLatencyNs maps a hierarchy level to its load-to-use latency.
 func (w *Walker) levelLatencyNs(level cache.Level, home arch.ChipID, strided bool) float64 {
 	spec := w.m.Spec
-	cyc := spec.Chip.CycleNs()
+	cyc := w.cycleNs
 	switch level {
 	case cache.LevelL1:
 		return float64(spec.Chip.L1D.LatencyCycles) * cyc
@@ -196,7 +202,7 @@ func (w *Walker) Access(addr uint64) float64 {
 		if wait < 0 {
 			wait = 0
 		}
-		latency += wait + float64(w.m.Spec.Chip.L1D.LatencyCycles)*w.m.Spec.Chip.CycleNs()
+		latency += wait + float64(w.m.Spec.Chip.L1D.LatencyCycles)*w.cycleNs
 		w.hier.Install(line)
 		w.prefetchHits++
 	} else {
