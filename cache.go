@@ -21,8 +21,8 @@ type CacheOptions struct {
 }
 
 // SuiteCache memoizes whole experiment Reports, keyed by machine
-// fingerprint, experiment id, quick mode, fault plan and the
-// kernel-runtime knobs. It rests on the repo's determinism contract:
+// fingerprint, experiment id, quick mode, fault plan and the kernel
+// team width. It rests on the repo's determinism contract:
 // every engine result is a pure function of its fingerprinted inputs,
 // so a warm lookup and a recomputation are the same bits. One
 // SuiteCache is safe for concurrent use and may be shared across
@@ -75,19 +75,17 @@ func (sc *SuiteCache) Reports() *memo.Cache {
 // content. Deliberately absent: the DES shard count (sharded and
 // sequential runs are bit-identical by contract — PR 6 — so a result
 // computed at any shard count serves every other), the worker count
-// (experiments are independent), retry policy and event budget (a
-// budget either trips — FAILED, never cached — or changes nothing).
+// (experiments are independent) and the event budget (a budget either
+// trips — FAILED, never cached — or changes nothing).
 func requestKey(m *Machine, e Experiment, opts RunOptions) canon.Fingerprint {
-	h := canon.NewHasher("power8/request/v1")
+	h := canon.NewHasher("power8/request/v2")
 	h.Fp(canon.Machine(m))
 	h.Str(e.ID)
 	h.Bool(opts.Quick)
 	opts.Faults.AppendCanon(h)
-	// The kernel-runtime knobs reach host-measured kernel behaviour
-	// (team width and dynamic grain), so runs under different knobs
-	// must not satisfy one another.
+	// The kernel team width reaches host-measured kernel behaviour, so
+	// runs under different widths must not satisfy one another.
 	h.Int(parallel.Workers(0))
-	h.Int(parallel.GrainFactor())
 	return h.Sum()
 }
 
@@ -128,7 +126,7 @@ func (sc *SuiteCache) LoadReport(e Experiment, m *Machine, opts RunOptions) (*Re
 	if sc == nil {
 		return nil, false
 	}
-	data, ok := sc.reports.GetBytes(requestKey(m, e, opts), checkReportBytes)
+	data, ok := sc.reports.Get(requestKey(m, e, opts), checkReportBytes)
 	if !ok {
 		return nil, false
 	}
@@ -153,7 +151,7 @@ func (sc *SuiteCache) LoadReport(e Experiment, m *Machine, opts RunOptions) (*Re
 func (sc *SuiteCache) lookupOrRun(e Experiment, m *Machine, opts RunOptions, run func() *Report) (*Report, bool) {
 	key := requestKey(m, e, opts)
 	var computed *Report
-	data, _, err := sc.reports.DoBytes(key, checkReportBytes, func() ([]byte, bool, error) {
+	data, _, err := sc.reports.Do(key, checkReportBytes, func() ([]byte, bool, error) {
 		rep := run()
 		computed = rep
 		buf, err := json.Marshal(rep)
@@ -164,8 +162,8 @@ func (sc *SuiteCache) lookupOrRun(e Experiment, m *Machine, opts RunOptions, run
 	})
 	if computed != nil {
 		// This caller ran the experiment itself (cold miss, marshal
-		// failure, or a non-storable retry); hand back the live report
-		// rather than a decode of its own bytes.
+		// failure, or a recompute after a non-storable leader); hand
+		// back the live report rather than a decode of its own bytes.
 		return computed, false
 	}
 	if err != nil {

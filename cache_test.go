@@ -85,14 +85,14 @@ func TestSuiteCacheKeySensitivity(t *testing.T) {
 
 // TestRequestKeyShardCountExcluded is the PR-6 contract carried into the
 // cache: sharded and sequential runs are bit-identical, so a report
-// computed at any shard count must serve every other. Worker count,
-// retry policy and event budget are equally excluded.
+// computed at any shard count must serve every other. Worker count and
+// event budget are equally excluded.
 func TestRequestKeyShardCountExcluded(t *testing.T) {
 	m := NewE870()
 	e := Experiment{ID: "x"}
 	base := requestKey(m, e, RunOptions{})
 	same := []RunOptions{
-		{Shards: 1}, {Shards: 8}, {Workers: 3}, {Retries: 2}, {EventBudget: 1 << 20},
+		{Shards: 1}, {Shards: 8}, {Workers: 3}, {EventBudget: 1 << 20},
 	}
 	for _, opts := range same {
 		if requestKey(m, e, opts) != base {
@@ -205,32 +205,6 @@ func TestSuiteCacheBypassedUnderStats(t *testing.T) {
 	RunSuite(suite, m, RunOptions{Workers: 1, Cache: cache})
 	if got := runs.Load(); got != 6 {
 		t.Fatalf("uninstrumented rerun missed the cache (%d runs, want 6)", got)
-	}
-}
-
-// TestSuiteCacheRetryInteraction: with the cache wrapped around the
-// attempt loop, a flaky-then-successful retryable experiment stores its
-// final successful report — the next run hits without re-running.
-func TestSuiteCacheRetryInteraction(t *testing.T) {
-	var runs atomic.Int64
-	cache := newTestCache(t, CacheOptions{})
-	m := NewE870()
-	e := Experiment{ID: "flaky", Retryable: true, Run: func(*experiments.Context) *experiments.Report {
-		if runs.Add(1) == 1 {
-			panic("transient")
-		}
-		return &experiments.Report{ID: "flaky"}
-	}}
-	rep := RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Retries: 2, Cache: cache})[0]
-	if rep.Failed() {
-		t.Fatalf("retry did not recover: %s", rep.Err)
-	}
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want 2", got)
-	}
-	rep = RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Retries: 2, Cache: cache})[0]
-	if rep.Failed() || runs.Load() != 2 {
-		t.Errorf("recovered report was not served warm (failed=%v, %d attempts)", rep.Failed(), runs.Load())
 	}
 }
 

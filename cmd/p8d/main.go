@@ -9,9 +9,8 @@
 //	p8d -queue 64 -jobworkers 4  # deeper admission queue, 4 parallel jobs
 //	p8d -cachedir /var/p8dcache  # persist reports: warm restarts
 //	p8d -cachemb 256             # in-memory report cache budget
-//	p8d -nocache                 # recompute everything, always
+//	p8d -nocache                 # recompute everything, always (not with -cachedir)
 //	p8d -kernelworkers 8         # worker-team size inside host kernels
-//	p8d -grainfactor 16          # finer dynamic kernel chunks
 //	p8d -journal /var/p8djournal # durable jobs: crash recovery on boot
 //	p8d -fsync off               # journal without per-record fsync
 //
@@ -75,14 +74,13 @@ func run() int {
 		cacheDir = flag.String("cachedir", "", "persist cached reports to this directory (warm restarts)")
 		cacheMB  = flag.Int64("cachemb", 64, "in-memory report cache budget in MiB")
 		kworkers = flag.Int("kernelworkers", 0, "worker-team size for the host kernels (0 = GOMAXPROCS)")
-		grainf   = flag.Int("grainfactor", 0, "dynamic-schedule chunks per worker (0 = default)")
 		waitcap  = flag.Duration("waitlimit", 60*time.Second, "upper bound on the ?wait long-poll parameter")
 		jdir     = flag.String("journal", "", "write-ahead job journal directory (enables crash recovery)")
 		fsyncStr = flag.String("fsync", "always", "journal fsync policy: always | off (off requires -journal)")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*queue, *jworkers, *cacheMB, *kworkers, *grainf); err != nil {
+	if err := validateFlags(*queue, *jworkers, *cacheMB, *kworkers, *nocache, *cacheDir); err != nil {
 		fmt.Fprintln(os.Stderr, "p8d:", err)
 		flag.Usage()
 		return 2
@@ -101,7 +99,6 @@ func run() int {
 	}
 
 	parallel.SetDefaultWorkers(*kworkers)
-	parallel.SetGrainFactor(*grainf)
 
 	// The service is always observed: the registry is the /v1/stats
 	// endpoint, and the shared worker teams and the cache hang their
@@ -197,7 +194,10 @@ func run() int {
 
 // validateFlags rejects nonsensical values up front with one friendly
 // line plus the usage text (exit 2), the same contract as p8repro.
-func validateFlags(queue, jworkers int, cacheMB int64, kworkers, grainf int) error {
+// -cachedir with -nocache is rejected like -fsync without -journal: the
+// directory would be silently ignored, and a restarted daemon could
+// then serve no recovered done job.
+func validateFlags(queue, jworkers int, cacheMB int64, kworkers int, nocache bool, cacheDir string) error {
 	if queue < 1 {
 		return fmt.Errorf("-queue must be at least 1, got %d", queue)
 	}
@@ -210,8 +210,8 @@ func validateFlags(queue, jworkers int, cacheMB int64, kworkers, grainf int) err
 	if kworkers < 0 {
 		return fmt.Errorf("-kernelworkers must be >= 0, got %d", kworkers)
 	}
-	if grainf < 0 {
-		return fmt.Errorf("-grainfactor must be >= 0, got %d", grainf)
+	if nocache && cacheDir != "" {
+		return fmt.Errorf("-cachedir requires the cache (drop -nocache)")
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 // TestRepoIsClean is the suite's meta-test: `p8lint ./...` must exit
 // clean on the repository itself. Every contract the analyzers encode
 // is load-bearing (determinism of the paper-order reports, the
-// race-freedom of RunAllParallel, the walker's allocation budget), so
+// race-freedom of a parallel RunSuite, the walker's allocation budget), so
 // a finding here is a real regression, not style noise. Deliberate,
 // justified deviations are visible as //p8:allow comments in the tree,
 // not as exclusions here.

@@ -7,7 +7,6 @@
 //	p8repro -quick               # reduced working sets (seconds, not minutes)
 //	p8repro -parallel 4          # run up to 4 experiments concurrently
 //	p8repro -kernelworkers 8     # worker-team size inside each kernel
-//	p8repro -grainfactor 16      # finer dynamic chunks (chunks per worker)
 //	p8repro -markdown            # emit an EXPERIMENTS.md-style report
 //	p8repro -list                # list experiment ids
 //	p8repro -cpuprofile cpu.pb   # write a pprof CPU profile of the run
@@ -17,8 +16,7 @@
 //	p8repro -faults guard:0:2    # ... or an explicit event-grammar plan
 //	p8repro -faultseed 7         # ... or a seeded random plan (reproducible)
 //	p8repro -shards 8            # DES simulations on 8 parallel shards
-//	p8repro -cache               # memoize reports and derivations in memory
-//	p8repro -cachedir .p8cache   # ...and persist reports for warm re-runs
+//	p8repro -cachedir .p8cache   # persist reports for warm re-runs
 //
 // -shards picks the shard count of the discrete-event simulations (the
 // figure4 and deg-plan DES cross-checks): 0 (the default) auto-sizes to
@@ -28,14 +26,12 @@
 // DES"); the flag only trades wall time. A count that does not divide
 // the socket topology is rejected up front with exit status 2.
 //
-// -cache turns on content-addressed result memoization (see DESIGN.md
-// "Result memoization"): completed reports and derived fault machines
-// are keyed by canonical fingerprints of everything that determines
-// their content, so repeated runs inside one process reuse them.
-// -cachedir (which implies -cache) additionally persists reports to a
-// content-addressed directory, making a second p8repro invocation warm:
-// it reruns nothing whose inputs are unchanged. FAILED reports are
-// never cached, and -stats bypasses report reuse so counters always
+// -cachedir turns on content-addressed report memoization (see
+// DESIGN.md "Result memoization"): completed reports are keyed by
+// canonical fingerprints of everything that determines their content
+// and persisted to the directory, making a second p8repro invocation
+// warm: it reruns nothing whose inputs are unchanged. FAILED reports
+// are never cached, and -stats bypasses the cache so counters always
 // describe the execution that actually happened.
 //
 // -faults and -faultseed switch to the degradation suite: bandwidth-vs-
@@ -89,7 +85,6 @@ func run() int {
 		ablations  = flag.Bool("ablations", false, "run the design-choice ablation studies instead")
 		workers    = flag.Int("parallel", runtime.NumCPU(), "max experiments running concurrently (1 = sequential)")
 		kworkers   = flag.Int("kernelworkers", 0, "worker-team size for the host kernels (0 = GOMAXPROCS)")
-		grainf     = flag.Int("grainfactor", 0, "dynamic-schedule chunks per worker (0 = default)")
 		timing     = flag.Bool("time", false, "report the suite's wall-clock time on stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -98,14 +93,13 @@ func run() int {
 		faults     = flag.String("faults", "", "run the degradation suite under this fault plan (canned name or event grammar)")
 		faultseed  = flag.Uint64("faultseed", 0, "run the degradation suite under a random fault plan derived from this seed (0 = off)")
 		shards     = flag.Int("shards", 0, "DES shard count for the simulated experiments (0 = auto, must divide the socket count)")
-		useCache   = flag.Bool("cache", false, "memoize reports and fault derivations in memory")
-		cacheDir   = flag.String("cachedir", "", "persist cached reports to this directory for warm re-runs (implies -cache)")
+		cacheDir   = flag.String("cachedir", "", "cache reports in this directory for warm re-runs")
 	)
 	flag.Parse()
 
 	// Validate flag combinations up front with a friendly message and the
 	// usage text rather than failing mid-run.
-	if err := validateFlags(*workers, *kworkers, *grainf, *shards, *faults, *faultseed, *ablations); err != nil {
+	if err := validateFlags(*workers, *kworkers, *shards, *faults, *faultseed, *ablations); err != nil {
 		fmt.Fprintln(os.Stderr, "p8repro:", err)
 		flag.Usage()
 		return 2
@@ -122,7 +116,6 @@ func run() int {
 	}
 
 	parallel.SetDefaultWorkers(*kworkers)
-	parallel.SetGrainFactor(*grainf)
 
 	var root *power8.StatsRegistry
 	if *stats || *statsaddr != "" {
@@ -137,10 +130,10 @@ func run() int {
 		}
 	}
 	// The cache is built after the registry so its hit/miss counters land
-	// under the observed run's root. With -stats, report reuse is
-	// bypassed by the harness; the derivation memoizer still works.
+	// under the observed run's root. With -stats the harness bypasses
+	// the cache: counters describe the execution that actually happened.
 	var cache *power8.SuiteCache
-	if *useCache || *cacheDir != "" {
+	if *cacheDir != "" {
 		var err error
 		if cache, err = power8.NewSuiteCache(power8.CacheOptions{Dir: *cacheDir}, root); err != nil {
 			fmt.Fprintln(os.Stderr, "p8repro:", err)
@@ -259,15 +252,12 @@ func run() int {
 // validateFlags rejects nonsensical flag values and combinations before
 // any work starts, so the user gets one friendly line plus the usage
 // text (exit 2) instead of a mid-run panic.
-func validateFlags(workers, kworkers, grainf, shards int, faults string, faultseed uint64, ablations bool) error {
+func validateFlags(workers, kworkers, shards int, faults string, faultseed uint64, ablations bool) error {
 	if workers < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", workers)
 	}
 	if kworkers < 0 {
 		return fmt.Errorf("-kernelworkers must be >= 0, got %d", kworkers)
-	}
-	if grainf < 0 {
-		return fmt.Errorf("-grainfactor must be >= 0, got %d", grainf)
 	}
 	if spec := power8.E870Spec(); shards != 0 && !machine.ShardCountValid(spec, shards) {
 		return fmt.Errorf("-shards %d does not divide the %d-socket topology (use 0 for auto or a divisor of %d)",

@@ -21,7 +21,7 @@ func Example() {
 // Every table and figure of the paper is a named experiment.
 func ExampleRun() {
 	m := power8.NewE870()
-	rep, err := power8.Run("figure9", m, true)
+	rep, err := power8.Run("figure9", m, power8.RunOptions{Quick: true})
 	if err != nil {
 		panic(err)
 	}

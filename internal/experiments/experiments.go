@@ -193,12 +193,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(*Context) *Report
-	// Retryable marks an experiment whose failures may be transient
-	// (e.g. host-measured kernels perturbed by machine load); the
-	// harness's opt-in retry policy only ever re-runs retryable
-	// experiments. Model-driven experiments are deterministic, so a
-	// retry would fail identically and stays off.
-	Retryable bool
 }
 
 var registry []Experiment

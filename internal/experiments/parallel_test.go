@@ -2,7 +2,7 @@ package experiments
 
 // Concurrency-safety test for the experiment registry and the shared
 // Machine: the simulated experiments run together on one Machine via
-// parallel.Map, exactly as power8.RunAllParallel drives them. Under
+// parallel.Map, exactly as power8.RunSuite drives them. Under
 // `go test -race ./internal/...` this verifies the machine model's
 // read-only-after-construction contract, and the content comparison
 // against a sequential pass verifies report determinism.
@@ -20,7 +20,7 @@ func TestSimulatedExperimentsRaceFree(t *testing.T) {
 	// The fully simulated experiments: no host-kernel wall-clock in
 	// their reports, so sequential and parallel output must be
 	// byte-identical. The host-measured ones (figure9-12, table5-6) are
-	// covered by the root package's TestParallelRunAllMatchesSequential.
+	// covered by the root package's TestParallelSuiteMatchesSequential.
 	simulated := map[string]bool{
 		"table1": true, "table2": true, "figure1": true, "figure2": true,
 		"table3": true, "figure3": true, "table4": true, "figure4": true,

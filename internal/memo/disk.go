@@ -18,7 +18,7 @@ import (
 // before the cache degrades to memory-only behavior for that entry.
 const (
 	diskWriteAttempts = 3
-	diskRetryBackoff  = 2 * time.Millisecond
+	diskWriteBackoff  = 2 * time.Millisecond
 )
 
 // diskStore is a content-addressed directory of results: each entry is
@@ -36,8 +36,7 @@ type diskStore struct {
 }
 
 // SetDir enables the on-disk store under dir on the real filesystem,
-// creating it if needed. Only byte-valued entries (DoBytes) touch the
-// disk; opaque in-memory values (Do) stay memory-only.
+// creating it if needed.
 func (c *Cache) SetDir(dir string) error {
 	return c.SetDirFS(dir, iofault.OS{})
 }
@@ -83,64 +82,6 @@ func (c *Cache) Peek(key canon.Fingerprint) bool {
 	}
 	_, err := c.disk.fsys.Stat(c.disk.path(key))
 	return err == nil
-}
-
-// DoBytes is Do for serialized results, with the on-disk store in the
-// lookup path: memory LRU, then disk (when enabled), then compute. A
-// disk hit is promoted into the memory LRU; a computed storable result
-// is written back to disk. The disk is best-effort — read and write
-// failures count in the stats and fall through to compute.
-//
-// check, when non-nil, validates bytes read from disk before they are
-// trusted: a corrupted or truncated entry (the store is plain files;
-// anything can happen to them) counts as a disk error, is deleted so
-// it cannot shadow the recomputation forever, and falls through to
-// compute. In-memory and just-computed bytes are not re-checked — the
-// process that produced them validated them by construction.
-func (c *Cache) DoBytes(key canon.Fingerprint, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
-	v, hit, err := c.Do(key, func() (Result, error) {
-		if data, ok := c.diskRead(key, check); ok {
-			return Result{V: data, Cost: int64(len(data)), Store: true}, nil
-		}
-		data, store, err := compute()
-		if err != nil {
-			return Result{}, err
-		}
-		if store {
-			c.diskWrite(key, data)
-		}
-		return Result{V: data, Cost: int64(len(data)), Store: store}, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]byte), hit, nil
-}
-
-// GetBytes fetches the bytes for key if they are already resident in
-// the memory LRU or the on-disk store, without ever computing. A disk
-// hit is promoted into the LRU exactly as DoBytes would promote it.
-// The boolean is false when the key is simply absent; recovery uses
-// GetBytes to re-serve reports for journal-replayed jobs and treats
-// absence as "evicted since the previous run". GetBytes deliberately
-// skips the singleflight: it never computes, so a duplicate concurrent
-// disk read is harmless, and probing must not inject a "not found"
-// error into a real compute's flight.
-func (c *Cache) GetBytes(key canon.Fingerprint, check func([]byte) error) ([]byte, bool) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.touch(e)
-		c.mu.Unlock()
-		c.scope.Counter("hits").Inc()
-		b, isBytes := e.val.([]byte)
-		return b, isBytes
-	}
-	c.mu.Unlock()
-	if data, ok := c.diskRead(key, check); ok {
-		c.insert(key, data, int64(len(data)))
-		return data, true
-	}
-	return nil, false
 }
 
 // path returns the final file name of a key.
@@ -193,7 +134,7 @@ func (c *Cache) diskWrite(key canon.Fingerprint, data []byte) {
 	for attempt := 0; attempt < diskWriteAttempts; attempt++ {
 		if attempt > 0 {
 			disk.Counter("retries").Inc()
-			c.disk.sleep(time.Duration(attempt) * diskRetryBackoff)
+			c.disk.sleep(time.Duration(attempt) * diskWriteBackoff)
 		}
 		if err = c.disk.write(key, data); err == nil {
 			break

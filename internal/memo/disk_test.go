@@ -35,9 +35,9 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 	var calls atomic.Int64
 	payload := []byte(`{"report":"table3"}`)
-	data, hit, err := cold.DoBytes(key(1), nil, computeBytes(payload, true, &calls))
+	data, hit, err := cold.Do(key(1), nil, computeBytes(payload, true, &calls))
 	if err != nil || hit || !bytes.Equal(data, payload) {
-		t.Fatalf("cold DoBytes = (%q, %v, %v)", data, hit, err)
+		t.Fatalf("cold Do = (%q, %v, %v)", data, hit, err)
 	}
 
 	// The entry landed under its full fingerprint hex, no temp litter.
@@ -53,15 +53,15 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err := warm.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	data, hit, err = warm.DoBytes(key(1), nil, computeBytes(nil, true, &calls))
+	data, hit, err = warm.Do(key(1), nil, computeBytes(nil, true, &calls))
 	if err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("warm DoBytes = (%q, %v, %v)", data, hit, err)
+		t.Fatalf("warm Do = (%q, %v, %v)", data, hit, err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("compute ran %d times across cold+warm caches, want 1", calls.Load())
 	}
 	// A disk-promoted entry is a memory hit afterwards.
-	if _, hit, _ := warm.DoBytes(key(1), nil, computeBytes(nil, true, nil)); !hit {
+	if _, hit, _ := warm.Do(key(1), nil, computeBytes(nil, true, nil)); !hit {
 		t.Error("disk-promoted entry did not become a memory hit")
 	}
 }
@@ -85,7 +85,7 @@ func TestDiskCorruptEntry(t *testing.T) {
 		return nil
 	}
 	var calls atomic.Int64
-	data, _, err := c.DoBytes(key(9), check, computeBytes([]byte("{}"), true, &calls))
+	data, _, err := c.Do(key(9), check, computeBytes([]byte("{}"), true, &calls))
 	if err != nil || string(data) != "{}" || calls.Load() != 1 {
 		t.Fatalf("corrupt entry did not fall through to compute: (%q, %v, %d calls)", data, err, calls.Load())
 	}
@@ -103,7 +103,7 @@ func TestDiskNonStorableNotWritten(t *testing.T) {
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.DoBytes(key(2), nil, computeBytes([]byte("failed"), false, nil)); err != nil {
+	if _, _, err := c.Do(key(2), nil, computeBytes([]byte("failed"), false, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, key(2).String())); !os.IsNotExist(err) {
@@ -149,13 +149,13 @@ func TestDiskSharedDirectory(t *testing.T) {
 	}
 	for i := byte(0); i < 8; i++ {
 		payload := []byte(fmt.Sprintf(`{"i":%d}`, i))
-		if _, _, err := a.DoBytes(key(i), nil, computeBytes(payload, true, nil)); err != nil {
+		if _, _, err := a.Do(key(i), nil, computeBytes(payload, true, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := byte(0); i < 8; i++ {
 		want := fmt.Sprintf(`{"i":%d}`, i)
-		data, _, err := b.DoBytes(key(i), nil, func() ([]byte, bool, error) {
+		data, _, err := b.Do(key(i), nil, func() ([]byte, bool, error) {
 			return nil, false, errors.New("should have been served from disk")
 		})
 		if err != nil || string(data) != want {
@@ -191,7 +191,7 @@ func TestDiskWriteRetries(t *testing.T) {
 	var slept []time.Duration
 	c.disk.sleep = func(d time.Duration) { slept = append(slept, d) }
 
-	if _, _, err := c.DoBytes(key(3), nil, computeBytes([]byte("{}"), true, nil)); err != nil {
+	if _, _, err := c.Do(key(3), nil, computeBytes([]byte("{}"), true, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := mem.ReadFile("cache/" + key(3).String()); err != nil || string(data) != "{}" {
@@ -204,8 +204,8 @@ func TestDiskWriteRetries(t *testing.T) {
 	if got := disk.Counter("retries").Load(); got != 1 {
 		t.Errorf("retries = %d, want 1", got)
 	}
-	if len(slept) != 1 || slept[0] != diskRetryBackoff {
-		t.Errorf("backoff schedule %v, want [%v]", slept, diskRetryBackoff)
+	if len(slept) != 1 || slept[0] != diskWriteBackoff {
+		t.Errorf("backoff schedule %v, want [%v]", slept, diskWriteBackoff)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestDiskWriteGivesUp(t *testing.T) {
 	}
 	c.disk.sleep = func(time.Duration) {}
 
-	data, _, err := c.DoBytes(key(4), nil, computeBytes([]byte("{}"), true, nil))
+	data, _, err := c.Do(key(4), nil, computeBytes([]byte("{}"), true, nil))
 	if err != nil || string(data) != "{}" {
 		t.Fatalf("request failed with the disk down: (%q, %v)", data, err)
 	}
@@ -241,7 +241,7 @@ func TestDiskWriteGivesUp(t *testing.T) {
 		t.Errorf("retries = %d, want %d", got, diskWriteAttempts-1)
 	}
 	// The in-memory copy still serves.
-	if _, hit, _ := c.DoBytes(key(4), nil, computeBytes(nil, true, nil)); !hit {
+	if _, hit, _ := c.Do(key(4), nil, computeBytes(nil, true, nil)); !hit {
 		t.Error("entry not served from memory after disk write failure")
 	}
 }
@@ -267,7 +267,7 @@ func TestDiskCorruptDeletedCounter(t *testing.T) {
 		}
 		return nil
 	}
-	if _, _, err := c.DoBytes(key(5), check, computeBytes([]byte("{}"), true, nil)); err != nil {
+	if _, _, err := c.Do(key(5), check, computeBytes([]byte("{}"), true, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Child("memo").Child("t").Child("disk").Counter("corrupt_deleted").Load(); got != 1 {
@@ -275,43 +275,43 @@ func TestDiskCorruptDeletedCounter(t *testing.T) {
 	}
 }
 
-// TestGetBytes: read-only probe hits memory, promotes disk entries, and
+// TestGet: read-only probe hits memory, promotes disk entries, and
 // never computes.
-func TestGetBytes(t *testing.T) {
+func TestGet(t *testing.T) {
 	mem := iofault.NewMem()
 	c := New("t", 0, nil)
 	if err := c.SetDirFS("cache", mem); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetBytes(key(6), nil); ok {
-		t.Fatal("GetBytes invented an absent entry")
+	if _, ok := c.Get(key(6), nil); ok {
+		t.Fatal("Get invented an absent entry")
 	}
-	if _, _, err := c.DoBytes(key(6), nil, computeBytes([]byte(`{"r":1}`), true, nil)); err != nil {
+	if _, _, err := c.Do(key(6), nil, computeBytes([]byte(`{"r":1}`), true, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := c.GetBytes(key(6), nil); !ok || string(data) != `{"r":1}` {
-		t.Fatalf("memory GetBytes = (%q, %v)", data, ok)
+	if data, ok := c.Get(key(6), nil); !ok || string(data) != `{"r":1}` {
+		t.Fatalf("memory Get = (%q, %v)", data, ok)
 	}
 
-	// A fresh cache over the same store: GetBytes serves and promotes
+	// A fresh cache over the same store: Get serves and promotes
 	// the disk entry.
 	warm := New("t", 0, nil)
 	if err := warm.SetDirFS("cache", mem); err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := warm.GetBytes(key(6), nil); !ok || string(data) != `{"r":1}` {
-		t.Fatalf("disk GetBytes = (%q, %v)", data, ok)
+	if data, ok := warm.Get(key(6), nil); !ok || string(data) != `{"r":1}` {
+		t.Fatalf("disk Get = (%q, %v)", data, ok)
 	}
 	if warm.Len() != 1 {
-		t.Errorf("GetBytes did not promote the disk entry (Len=%d)", warm.Len())
+		t.Errorf("Get did not promote the disk entry (Len=%d)", warm.Len())
 	}
 	// A failing check treats the entry as absent (and deletes it).
 	bad := New("t", 0, nil)
 	if err := bad.SetDirFS("cache", mem); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := bad.GetBytes(key(6), func([]byte) error { return errors.New("no") }); ok {
-		t.Fatal("GetBytes served an entry its check rejected")
+	if _, ok := bad.Get(key(6), func([]byte) error { return errors.New("no") }); ok {
+		t.Fatal("Get served an entry its check rejected")
 	}
 }
 
@@ -326,7 +326,7 @@ func TestPeek(t *testing.T) {
 	if c.Peek(key(1)) {
 		t.Error("Peek on an empty cache")
 	}
-	if _, _, err := c.DoBytes(key(1), nil, computeBytes([]byte("x"), true, nil)); err != nil {
+	if _, _, err := c.Do(key(1), nil, computeBytes([]byte("x"), true, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Peek(key(1)) {

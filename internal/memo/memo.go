@@ -1,6 +1,7 @@
-// Package memo is a content-addressed result cache: a byte-budgeted
+// Package memo is a content-addressed byte cache: a byte-budgeted
 // in-memory LRU with singleflight deduplication and an optional
-// on-disk store, keyed by internal/canon fingerprints. It is the
+// on-disk store, keyed by internal/canon fingerprints. Values are
+// serialized results ([]byte); a value's cost is its length. It is the
 // substrate that turns this repository's determinism contract into
 // speed: every engine result is a pure function of fingerprinted
 // inputs, so equal keys mean a recomputation can be skipped (warm
@@ -9,12 +10,12 @@
 // Three behaviours matter to correctness:
 //
 //   - Singleflight: concurrent Do calls with the same key run one
-//     compute; the rest wait and share the result. Under the parallel
-//     harness the four deg-* experiments race to derive the same
-//     degraded machine — with singleflight the derivation happens once.
+//     compute; the rest wait and share the result. Two services (or
+//     two p8d jobs) racing on the same cold report run the experiment
+//     once.
 //
 //   - Non-storable results never enter the cache and never satisfy
-//     waiters: a compute that reports Store=false (a FAILED report, a
+//     waiters: a compute that reports store=false (a FAILED report, a
 //     watchdog trip, a cancellation) returns its value to its own
 //     caller only, and every waiter retries with its own compute. A
 //     cancelled run therefore cannot poison the group — the other
@@ -39,20 +40,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Result is what a compute callback hands back to Do.
-type Result struct {
-	// V is the computed value shared with waiters and stored in the
-	// LRU when Store is true.
-	V any
-	// Cost is the value's size in bytes charged against the cache
-	// budget; non-positive costs are charged as one byte.
-	Cost int64
-	// Store marks the result cacheable. FAILED, tripped or cancelled
-	// computations must set it false: the value is returned to the
-	// caller but never cached, and waiting duplicates recompute.
-	Store bool
-}
-
 // Cache is a byte-budgeted LRU keyed by canonical fingerprints. Use
 // New; the zero value is not ready.
 type Cache struct {
@@ -71,7 +58,7 @@ type Cache struct {
 
 type entry struct {
 	key        canon.Fingerprint
-	val        any
+	val        []byte
 	cost       int64
 	prev, next *entry
 }
@@ -79,7 +66,7 @@ type entry struct {
 // flight is one in-progress compute plus everyone waiting on it.
 type flight struct {
 	done chan struct{} // closed when the leader finishes or panics
-	val  any
+	val  []byte
 	err  error
 	// ok marks a completed, storable result waiters may consume;
 	// false after a panic or a non-storable result, sending waiters
@@ -121,13 +108,29 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// Do returns the cached value for key, or runs compute — once across
-// all concurrent callers of the same key — and caches its result when
-// Result.Store is true. The second return is true on a cache hit
-// (including a hit satisfied by another caller's in-flight compute).
-// Errors are returned to every caller of the generation that computed
-// them; they are never cached.
-func (c *Cache) Do(key canon.Fingerprint, compute func() (Result, error)) (any, bool, error) {
+// Do returns the bytes for key: from the memory LRU, else from the
+// on-disk store (when enabled), else by running compute — once across
+// all concurrent callers of the same key. compute returns the bytes,
+// whether they may be stored, and an error. FAILED, tripped or
+// cancelled computations must report store=false: the bytes go back to
+// this caller only, are never cached or written to disk, and waiting
+// duplicates recompute. A disk hit is promoted into the LRU; a
+// storable computed result is written back to disk. The disk is
+// best-effort — read and write failures count in the stats and fall
+// through to compute.
+//
+// check, when non-nil, validates bytes read from disk before they are
+// trusted: a corrupted or truncated entry (the store is plain files;
+// anything can happen to them) counts as a disk error, is deleted so
+// it cannot shadow the recomputation forever, and falls through to
+// compute. In-memory and just-computed bytes are not re-checked — the
+// process that produced them validated them by construction.
+//
+// The second return is true when the LRU or another caller's in-flight
+// fill supplied the bytes; a disk read or a compute by this caller
+// returns false. Errors are returned to every caller of the
+// generation that computed them; they are never cached.
+func (c *Cache) Do(key canon.Fingerprint, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -155,14 +158,40 @@ func (c *Cache) Do(key canon.Fingerprint, compute func() (Result, error)) (any, 
 		c.mu.Unlock()
 
 		c.scope.Counter("misses").Inc()
-		return c.lead(key, f, compute)
+		return c.lead(key, f, check, compute)
 	}
 }
 
-// lead runs one compute as the key's flight leader and publishes the
-// outcome. On panic the flight is detached so waiters retry, then the
-// panic continues to the caller (the harness's isolation wrapper).
-func (c *Cache) lead(key canon.Fingerprint, f *flight, compute func() (Result, error)) (any, bool, error) {
+// Get fetches the bytes for key if they are already resident in the
+// memory LRU or the on-disk store, without ever computing. A disk hit
+// is promoted into the LRU exactly as Do would promote it. The boolean
+// is false when the key is simply absent; recovery uses Get to
+// re-serve reports for journal-replayed jobs and treats absence as
+// "evicted since the previous run". Get deliberately skips the
+// singleflight: it never computes, so a duplicate concurrent disk read
+// is harmless, and probing must not inject a "not found" error into a
+// real compute's flight.
+func (c *Cache) Get(key canon.Fingerprint, check func([]byte) error) ([]byte, bool) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.touch(e)
+		c.mu.Unlock()
+		c.scope.Counter("hits").Inc()
+		return e.val, true
+	}
+	c.mu.Unlock()
+	if data, ok := c.diskRead(key, check); ok {
+		c.insert(key, data)
+		return data, true
+	}
+	return nil, false
+}
+
+// lead fills one key as its flight leader — disk first, then compute —
+// and publishes the outcome. On panic the flight is detached so waiters
+// retry, then the panic continues to the caller (the harness's
+// isolation wrapper).
+func (c *Cache) lead(key canon.Fingerprint, f *flight, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
 	finished := false
 	defer func() {
 		c.mu.Lock()
@@ -173,25 +202,39 @@ func (c *Cache) lead(key canon.Fingerprint, f *flight, compute func() (Result, e
 		}
 	}()
 
-	res, err := compute()
+	data, store, err := c.fill(key, check, compute)
 	finished = true
-	f.val, f.err = res.V, err
-	f.ok = err == nil && res.Store
+	f.val, f.err = data, err
+	f.ok = err == nil && store
 	if f.ok {
-		c.insert(key, res.V, res.Cost)
+		c.insert(key, data)
 	}
 	close(f.done)
-	return res.V, false, err
+	return data, false, err
 }
 
-// insert stores a computed value and evicts from the LRU tail until
-// the budget holds. A value costlier than the whole budget is not
-// stored at all — evicting the entire cache to hold one entry would
-// thrash.
-func (c *Cache) insert(key canon.Fingerprint, val any, cost int64) {
-	if cost <= 0 {
-		cost = 1
+// fill produces a missing key's bytes: a validated disk entry when one
+// exists, else compute's result, written back to disk when storable.
+func (c *Cache) fill(key canon.Fingerprint, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
+	if data, ok := c.diskRead(key, check); ok {
+		return data, true, nil
 	}
+	data, store, err := compute()
+	if err != nil {
+		return nil, false, err
+	}
+	if store {
+		c.diskWrite(key, data)
+	}
+	return data, store, nil
+}
+
+// insert stores a value, charging its length (an empty value is
+// charged one byte), and evicts from the LRU tail until the budget
+// holds. A value costlier than the whole budget is not stored at all —
+// evicting the entire cache to hold one entry would thrash.
+func (c *Cache) insert(key canon.Fingerprint, val []byte) {
+	cost := max(int64(len(val)), 1)
 	if c.maxBytes > 0 && cost > c.maxBytes {
 		c.scope.Counter("oversize_skips").Inc()
 		return

@@ -48,14 +48,13 @@ func (s Schedule) String() string {
 	return "dynamic"
 }
 
-var (
-	// defaultWorkers overrides the GOMAXPROCS default when positive
-	// (the -kernelworkers knob).
-	defaultWorkers atomic.Int64
-	// grainChunks is the auto-grain target of chunks per worker
-	// (the -grainfactor knob); 0 means the default of 8.
-	grainChunks atomic.Int64
-)
+// defaultWorkers overrides the GOMAXPROCS default when positive (the
+// -kernelworkers knob).
+var defaultWorkers atomic.Int64
+
+// grainChunks is the auto-grain target of dynamic chunks per worker:
+// more chunks balance better, fewer cost less scheduling.
+const grainChunks = 8
 
 // Workers resolves a kernel's threads argument: positive values pass
 // through; otherwise the process-wide default applies (SetDefaultWorkers
@@ -79,30 +78,10 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
-// GrainFactor returns the process-wide auto-grain override set by
-// SetGrainFactor (0 when the default applies). The harness folds it
-// into cached-report keys: host-measured kernels schedule differently
-// under a different grain.
-func GrainFactor() int { return int(grainChunks.Load()) }
-
-// SetGrainFactor sets the auto-grain target of dynamic chunks per
-// worker (default 8). More chunks balance better; fewer chunks cost
-// less scheduling. c <= 0 restores the default.
-func SetGrainFactor(c int) {
-	if c < 0 {
-		c = 0
-	}
-	grainChunks.Store(int64(c))
-}
-
 // autoGrain picks a dynamic chunk size giving each worker about
 // grainChunks chunks to pull.
 func autoGrain(n, workers int) int {
-	f := int(grainChunks.Load())
-	if f <= 0 {
-		f = 8
-	}
-	g := n / (workers * f)
+	g := n / (workers * grainChunks)
 	if g < 1 {
 		g = 1
 	}

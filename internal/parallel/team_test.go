@@ -287,7 +287,6 @@ func TestNewTeamPanics(t *testing.T) {
 // TestAutoGrainBounds: the automatic grain is always positive and never
 // larger than needed to give each worker several chunks.
 func TestAutoGrainBounds(t *testing.T) {
-	SetGrainFactor(0) // default
 	for _, n := range []int{1, 10, 1000, 1 << 20} {
 		for _, w := range []int{1, 4, 64} {
 			g := autoGrain(n, w)
@@ -296,9 +295,7 @@ func TestAutoGrainBounds(t *testing.T) {
 			}
 		}
 	}
-	SetGrainFactor(2)
-	if g := autoGrain(1000, 5); g != 100 {
-		t.Errorf("autoGrain with factor 2 = %d, want 100", g)
+	if g := autoGrain(1000, 5); g != 25 {
+		t.Errorf("autoGrain(1000, 5) = %d, want 25 (8 chunks per worker)", g)
 	}
-	SetGrainFactor(0)
 }

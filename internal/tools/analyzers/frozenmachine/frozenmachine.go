@@ -1,7 +1,7 @@
 // Package frozenmachine enforces the read-only-after-construction
-// contract of machine.Machine. This is the invariant that makes
-// RunAllParallel race-free: one Machine is shared by every concurrently
-// running experiment.
+// contract of machine.Machine. This is the invariant that makes a
+// parallel RunSuite race-free: one Machine is shared by every
+// concurrently running experiment.
 //
 // At depth 0 (Run, syntactic, outside the machine package): no code
 // may assign through a Machine — neither to its own fields

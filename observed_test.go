@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-func TestRunObservedAttachesStats(t *testing.T) {
+func TestObservedRunAttachesStats(t *testing.T) {
 	m := NewE870()
 	root := NewStatsRegistry("run")
-	rep, err := RunObserved("figure2", m, true, root)
+	rep, err := Run("figure2", m, RunOptions{Quick: true, Stats: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +26,19 @@ func TestRunObservedAttachesStats(t *testing.T) {
 		t.Errorf("figure2 scope has no walker accesses: %v", cm)
 	}
 	// Uninstrumented runs must not grow a snapshot.
-	plain, err := Run("figure2", m, true)
+	plain, err := Run("figure2", m, RunOptions{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Stats != nil {
 		t.Error("plain Run attached Stats")
 	}
+}
+
+// observedSuite runs the quick paper suite on workers goroutines, every
+// experiment in its own child scope of a fresh registry.
+func observedSuite(m *Machine, workers int) []*Report {
+	return RunSuite(Experiments(), m, RunOptions{Quick: true, Workers: workers, Stats: NewStatsRegistry("run")})
 }
 
 // statsByID collects each report's counter map keyed by experiment id.
@@ -48,16 +54,15 @@ func statsByID(t *testing.T, reps []*Report) map[string]map[string]uint64 {
 	return out
 }
 
-// TestRunAllObservedParallelSmoke drives the instrumented suite once
+// TestObservedSuiteParallelSmoke drives the instrumented suite once
 // with concurrent workers sharing one Machine. It is the target of the
 // CI race job's `go test -race -short -run Observed .` pass: the
 // triple-run determinism test below is too slow under the race
 // detector, but a single concurrent instrumented pass already exercises
 // every scoped-registry write, counter flush and team-instrumentation
 // path under contention.
-func TestRunAllObservedParallelSmoke(t *testing.T) {
-	m := NewE870()
-	reps := RunAllObserved(m, true, 8, NewStatsRegistry("run"))
+func TestObservedSuiteParallelSmoke(t *testing.T) {
+	reps := observedSuite(NewE870(), 8)
 	for _, r := range reps {
 		if r.Stats == nil {
 			t.Fatalf("%s: observed run left Stats nil", r.ID)
@@ -70,9 +75,9 @@ func TestObservedCountersDeterministicAndIsolated(t *testing.T) {
 		t.Skip("runs the full quick suite three times")
 	}
 	m := NewE870()
-	seq1 := statsByID(t, RunAllObserved(m, true, 1, NewStatsRegistry("run")))
-	seq2 := statsByID(t, RunAllObserved(m, true, 1, NewStatsRegistry("run")))
-	par := statsByID(t, RunAllObserved(m, true, 8, NewStatsRegistry("run")))
+	seq1 := statsByID(t, observedSuite(m, 1))
+	seq2 := statsByID(t, observedSuite(m, 1))
+	par := statsByID(t, observedSuite(m, 8))
 
 	// Determinism: two identical sequential runs produce identical
 	// counter values, experiment by experiment.

@@ -11,7 +11,10 @@
 //
 //	m := power8.NewE870()
 //	fmt.Println(m.Mem.SystemStream(2.0 / 3)) // Table III's 2:1 row
-//	rep := power8.MustRun("table3", m, false)
+//	rep, err := power8.Run("table3", m, power8.RunOptions{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	for _, line := range rep.Lines {
 //		fmt.Println(line)
 //	}
@@ -20,12 +23,12 @@
 // substrates (internal/cache, internal/fabric, internal/memsys,
 // internal/prefetch, ...) while this package re-exports the surfaces a
 // downstream user needs: machine construction, the experiment registry,
-// and the application kernels.
+// and the application kernels. RunSuite is the one way to execute
+// experiments: Run looks one up by id and runs it through RunSuite.
 package power8
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/arch"
 	"repro/internal/experiments"
@@ -82,66 +85,17 @@ func NewMachine(spec *SystemSpec) *Machine { return machine.New(spec) }
 func Experiments() []Experiment { return experiments.All() }
 
 // Run executes one experiment by id ("table3", "figure7", ...) against
-// the machine. Quick mode shrinks working sets and scales for fast runs.
-func Run(id string, m *Machine, quick bool) (*Report, error) {
+// the machine. It is RunSuite over a one-experiment suite on one
+// worker, so the experiment runs under the same hardening as a suite: a
+// panic comes back as a failed report instead of crashing the caller,
+// and opts (quick mode, instrumentation, budget, cancellation, cache)
+// apply as they would to every experiment of a suite. opts.Workers is
+// ignored.
+func Run(id string, m *Machine, opts RunOptions) (*Report, error) {
 	exp, ok := experiments.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("power8: unknown experiment %q", id)
 	}
-	return exp.Run(&experiments.Context{Machine: m, Quick: quick}), nil
-}
-
-// MustRun is Run for known-good ids; it panics on an unknown id.
-func MustRun(id string, m *Machine, quick bool) *Report {
-	rep, err := Run(id, m, quick)
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
-// RunAll executes every experiment and returns the reports in the
-// paper's order. The experiments are independent, so they run
-// concurrently on up to runtime.NumCPU() goroutines; use RunAllParallel
-// to pick the worker count explicitly (1 forces a sequential run).
-func RunAll(m *Machine, quick bool) []*Report {
-	return RunAllParallel(m, quick, runtime.NumCPU())
-}
-
-// RunAllParallel executes every experiment on at most `workers`
-// goroutines and returns the reports in the paper's order regardless of
-// completion order. The Machine is read-only after construction (Spec,
-// Net and Mem are immutable models; all per-run mutable state lives in
-// the Walker/Sim/kernel instances each experiment builds privately), so
-// one machine is safely shared by every worker, and a parallel run
-// produces the same reports as a sequential one.
-func RunAllParallel(m *Machine, quick bool, workers int) []*Report {
-	return RunAllObserved(m, quick, workers, nil)
-}
-
-// RunObserved is Run with instrumentation and isolation: the
-// experiment's counters land in a child scope of root named after the
-// experiment id, the returned report carries that scope's snapshot in
-// Report.Stats, and a panicking experiment comes back as a failed
-// report instead of crashing the caller. A nil root runs
-// uninstrumented but still isolated.
-func RunObserved(id string, m *Machine, quick bool, root *StatsRegistry) (*Report, error) {
-	exp, ok := experiments.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("power8: unknown experiment %q", id)
-	}
-	return RunSuite([]Experiment{exp}, m, RunOptions{Quick: quick, Workers: 1, Stats: root})[0], nil
-}
-
-// RunAllObserved is RunAllParallel with instrumentation. Every
-// experiment gets its own child registry keyed by its id, so counters
-// from concurrently running experiments land in separate scopes instead
-// of smearing into shared ones. Allocation deltas are recorded only on
-// sequential runs (workers == 1): runtime.MemStats is process-global and
-// cannot be attributed to one experiment while others run. A nil root
-// disables instrumentation entirely. Every experiment runs isolated —
-// see RunSuite for the full hardening contract (budgets, cancellation,
-// retries).
-func RunAllObserved(m *Machine, quick bool, workers int, root *StatsRegistry) []*Report {
-	return RunSuite(experiments.All(), m, RunOptions{Quick: quick, Workers: workers, Stats: root})
+	opts.Workers = 1
+	return RunSuite([]Experiment{exp}, m, opts)[0], nil
 }

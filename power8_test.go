@@ -1,6 +1,7 @@
 package power8
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ func TestE870Spec(t *testing.T) {
 
 func TestRunKnownExperiment(t *testing.T) {
 	m := NewE870()
-	rep, err := Run("table3", m, true)
+	rep, err := Run("table3", m, RunOptions{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,18 +34,22 @@ func TestRunKnownExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", NewE870(), true); err == nil {
+	if _, err := Run("nope", NewE870(), RunOptions{}); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
 
-func TestMustRunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun did not panic")
-		}
-	}()
-	MustRun("nope", NewE870(), true)
+// TestRunIsolatesTrip: Run goes through RunSuite, so a watchdog trip
+// inside a single experiment comes back as its failed report instead of
+// a panic in the caller.
+func TestRunIsolatesTrip(t *testing.T) {
+	rep, err := Run("figure2", NewE870(), RunOptions{Quick: true, EventBudget: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Failed() || !strings.Contains(rep.Err, "event budget exhausted") {
+		t.Errorf("figure2 under a 1000-event budget: Err = %q", rep.Err)
+	}
 }
 
 func TestExperimentsRegistry(t *testing.T) {
@@ -53,11 +58,11 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 }
 
-func TestRunAllQuick(t *testing.T) {
+func TestRunSuiteQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	reports := RunAll(NewE870(), true)
+	reports := RunSuite(Experiments(), NewE870(), RunOptions{Quick: true})
 	if len(reports) != 18 {
 		t.Fatalf("reports = %d", len(reports))
 	}
